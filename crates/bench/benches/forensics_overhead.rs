@@ -1,7 +1,7 @@
 //! Forensics overhead: the zero-cost claim of the fault-forensics layer.
 //!
 //! The per-fault lifecycle hooks are Option-gated (`ForensicsLog` is `None`
-//! unless a forensic entry point enables it), so a plain campaign pays one
+//! unless a run asks for forensics), so a plain campaign pays one
 //! `is_some()` branch per hook site and nothing else.  This bench runs the
 //! golden CI spec (`specs/ci_smoke.json`) both ways and prints the measured
 //! overhead of each path:
@@ -14,8 +14,9 @@
 //!   per-fault record stream plus outcome classification.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use laec_bench::{run_full, run_full_forensic};
+use laec_bench::{run_full, run_mode_with};
 use laec_core::campaign::CampaignSpec as GridSpec;
+use laec_core::{CampaignReport, ExecutionMode, ForensicsReport, RunOptions};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -26,7 +27,17 @@ fn golden_grid() -> GridSpec {
     let text = std::fs::read_to_string(path).expect("specs/ci_smoke.json is committed");
     laec_core::spec::CampaignSpec::from_json(&text)
         .expect("golden spec parses")
-        .grid()
+        .grid
+}
+
+/// Full-simulation mode with per-fault lifecycle forensics enabled.
+fn run_traced(spec: &GridSpec) -> (CampaignReport, Option<ForensicsReport>) {
+    let options = RunOptions {
+        forensics: true,
+        ..RunOptions::default()
+    };
+    let (outcome, forensics) = run_mode_with(spec, ExecutionMode::Full, 1, &options);
+    (outcome.into_grid().expect("grid report"), forensics)
 }
 
 fn report_overhead(spec: &GridSpec) {
@@ -39,7 +50,7 @@ fn report_overhead(spec: &GridSpec) {
     let start = Instant::now();
     let mut faults = 0;
     for _ in 0..runs {
-        let (report, forensics) = run_full_forensic(spec, 1);
+        let (report, forensics) = run_traced(spec);
         faults = forensics.as_ref().map_or(0, |f| f.total_faults());
         black_box((report, forensics));
     }
@@ -64,7 +75,7 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("campaign_forensic", |b| {
         b.iter(|| {
-            let (report, forensics) = run_full_forensic(&spec, 1);
+            let (report, forensics) = run_traced(&spec);
             black_box((report.total_jobs, forensics.map(|f| f.total_faults())))
         })
     });

@@ -13,7 +13,9 @@ use std::path::Path;
 use laec_core::campaign::CampaignSpec;
 use laec_core::sampling::{SampleExecution, SampledReport, SamplingPlan};
 use laec_core::trace_backed::TracedCampaign;
-use laec_core::{Campaign, CampaignOutcome, CampaignReport, ExecutionMode};
+use laec_core::{
+    Campaign, CampaignOutcome, CampaignReport, ExecutionMode, ForensicsReport, RunOptions,
+};
 use laec_workloads::GeneratorConfig;
 
 /// The workload shape used inside measured benchmark loops (small, so each
@@ -34,11 +36,26 @@ pub fn report_shape() -> GeneratorConfig {
     GeneratorConfig::evaluation()
 }
 
-/// Runs a grid spec through the unified dispatch in the given mode.
+/// Runs a grid through the unified dispatch in the given mode, observed
+/// as `options` asks (see [`Campaign::run_with`]).
 #[must_use]
-pub fn run_mode(spec: &CampaignSpec, mode: ExecutionMode, threads: usize) -> CampaignOutcome {
-    let spec = laec_core::spec::CampaignSpec::from_grid(spec, mode);
-    Campaign::new(spec.validate().expect("valid spec")).run(threads)
+pub fn run_mode_with(
+    grid: &CampaignSpec,
+    mode: ExecutionMode,
+    threads: usize,
+    options: &RunOptions,
+) -> (CampaignOutcome, Option<ForensicsReport>) {
+    let spec = laec_core::spec::CampaignSpec {
+        grid: grid.clone(),
+        mode,
+    };
+    Campaign::new(spec.validate().expect("valid spec")).run_with(threads, options)
+}
+
+/// Runs a grid through the unified dispatch in the given mode.
+#[must_use]
+pub fn run_mode(grid: &CampaignSpec, mode: ExecutionMode, threads: usize) -> CampaignOutcome {
+    run_mode_with(grid, mode, threads, &RunOptions::default()).0
 }
 
 /// Full-simulation mode.
@@ -69,20 +86,6 @@ pub fn run_trace_backed(
         },
         CampaignOutcome::Sampled { .. } => unreachable!("trace-backed mode is a grid mode"),
     }
-}
-
-/// Full-simulation mode with per-fault lifecycle forensics enabled: the
-/// report is byte-identical to [`run_full`]; the second element is the
-/// assembled forensics document (see `laec_core::forensics`).
-#[must_use]
-pub fn run_full_forensic(
-    spec: &CampaignSpec,
-    threads: usize,
-) -> (CampaignReport, Option<laec_core::ForensicsReport>) {
-    let spec = laec_core::spec::CampaignSpec::from_grid(spec, ExecutionMode::Full);
-    let campaign = Campaign::new(spec.validate().expect("valid spec"));
-    let (outcome, forensics) = campaign.run_forensic(threads, &laec_obs::Obs::disabled());
-    (outcome.into_grid().expect("grid report"), forensics)
 }
 
 /// Sampled (stratified Monte-Carlo) mode.

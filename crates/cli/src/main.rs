@@ -42,7 +42,7 @@ use laec_core::forensics::ForensicsReport;
 use laec_core::observe::record_outcome_metrics;
 use laec_core::sampling::{render_sampled, SampleExecution, Sampler, SamplerCheckpoint};
 use laec_core::spec::{
-    engine_for, Campaign, CampaignBuilder, CampaignOutcome, CampaignSpec as SpecV2, ValidatedSpec,
+    Campaign, CampaignBuilder, CampaignOutcome, CampaignSpec as SpecV2, RunOptions, ValidatedSpec,
 };
 use laec_core::trace_backed::{record_cell, replay_cell, trace_file_name};
 use laec_core::{
@@ -758,12 +758,11 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
         return cmd_campaign_sharded(flags, &validated, &obs);
     }
 
-    let campaign = Campaign::new(validated);
-    let (outcome, forensics) = if flags.forensics {
-        campaign.run_forensic(flags.threads, &obs)
-    } else {
-        (campaign.run_observed(flags.threads, &obs), None)
+    let options = RunOptions {
+        obs: obs.clone(),
+        forensics: flags.forensics,
     };
+    let (outcome, forensics) = Campaign::new(validated).run_with(flags.threads, &options);
     if let Some(stats) = outcome.trace_stats() {
         eprintln!("{stats}");
     }
@@ -798,7 +797,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
 /// Rejects specs whose engine cannot trace fault lifecycles (sampled and
 /// forced-SMP modes).
 fn check_forensics_mode(validated: &ValidatedSpec) -> Result<(), String> {
-    let caps = engine_for(validated.mode()).capabilities();
+    let caps = validated.mode().caps();
     if caps.forensics {
         Ok(())
     } else {
@@ -838,7 +837,11 @@ fn cmd_forensics(flags: &Flags) -> Result<(), String> {
     let validated = spec.validate().map_err(|e| e.to_string())?;
     check_forensics_mode(&validated)?;
     let obs = build_obs(flags)?;
-    let (_, forensics) = Campaign::new(validated).run_forensic(flags.threads, &obs);
+    let options = RunOptions {
+        obs: obs.clone(),
+        forensics: true,
+    };
+    let (_, forensics) = Campaign::new(validated).run_with(flags.threads, &options);
     let forensics = forensics.expect("forensics-capable engine checked above");
     if flags.json {
         println!("{}", forensics.to_json());
@@ -1093,7 +1096,7 @@ fn cmd_campaign_sharded(flags: &Flags, validated: &ValidatedSpec, obs: &Obs) -> 
     if flags.shard_rounds.is_some() && flags.checkpoint.is_none() {
         return Err("--shard-rounds needs --checkpoint <FILE> to save progress".to_string());
     }
-    // This path bypasses `Campaign::run_observed`, so it establishes the
+    // This path bypasses `Campaign::run_with`, so it establishes the
     // metrics context itself (the engine behind sampled mode is "sampled").
     obs.set_context(&validated.fingerprint_hex(), "sampled");
     let baseline_phase = match execution {
@@ -1112,10 +1115,10 @@ fn cmd_campaign_sharded(flags: &Flags, validated: &ValidatedSpec, obs: &Obs) -> 
                 std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
             let checkpoint = SamplerCheckpoint::decode(&bytes)
                 .map_err(|e| format!("{}: {e}", path.display()))?;
-            Sampler::restore(&grid, &plan, &execution, flags.threads, &checkpoint)
+            Sampler::restore(grid, &plan, &execution, flags.threads, &checkpoint)
                 .map_err(|e| e.to_string())?
         } else {
-            Sampler::new(&grid, &plan, &execution, flags.threads)
+            Sampler::new(grid, &plan, &execution, flags.threads)
         }
     };
     sampler.attach_obs(obs);

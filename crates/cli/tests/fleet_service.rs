@@ -167,6 +167,62 @@ fn repeat_submissions_are_deduplicated_through_the_store() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A corrupted store artifact is never served: the resubmission misses
+/// the store (the entry fails its digest check and is evicted), the job
+/// reruns, and the republished bytes are clean again.
+#[test]
+fn a_corrupt_store_entry_is_recomputed_not_served() {
+    let dir = scratch_dir("corrupt");
+    let fleet = dir.join("fleet");
+    let fleet_arg = fleet.to_str().expect("utf-8");
+    let spec = write_spec(&dir, &grid_spec());
+    let spec_arg = spec.to_str().expect("utf-8");
+    let submit = || {
+        cli(&[
+            "submit",
+            "--spec",
+            spec_arg,
+            "--fleet-dir",
+            fleet_arg,
+            "--json",
+        ])
+    };
+    let drain = || {
+        let served = cli(&[
+            "serve",
+            "--fleet-dir",
+            fleet_arg,
+            "--drain",
+            "--workers",
+            "0",
+            "--poll-ms",
+            "5",
+            "--json",
+        ]);
+        assert!(served.status.success(), "serve failed: {served:?}");
+    };
+    let reference = reference_bytes(&spec);
+
+    let key = submitted_key(&submit());
+    drain();
+    assert_eq!(store_report(&fleet, &key), reference);
+
+    let report = fleet.join("store").join(&key).join("report.json");
+    let mut bytes = fs::read(&report).expect("published report");
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x01;
+    fs::write(&report, bytes).expect("corrupt the published report");
+
+    let resubmitted = submit();
+    assert!(
+        String::from_utf8_lossy(&resubmitted.stdout).contains("\"cached\":false"),
+        "a corrupt entry must not answer from the store"
+    );
+    drain();
+    assert_eq!(store_report(&fleet, &key), reference, "recomputed bytes");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn four_worker_processes_reproduce_the_single_process_bytes() {
     let dir = scratch_dir("four");

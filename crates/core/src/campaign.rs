@@ -20,11 +20,11 @@
 //! therefore serializes to the same JSON — the integration tests assert
 //! exactly that.
 //!
-//! This module holds the grid *description* ([`CampaignSpec`]) and the
-//! full-simulation engine.  New code should drive campaigns through the
-//! unified, serializable API in [`crate::spec`] ([`crate::spec::Campaign`]
-//! dispatches every execution mode behind one entry point); the free
-//! function [`run_campaign`] remains as a deprecated shim.
+//! This module holds the grid *description* ([`CampaignSpec`]) and the grid
+//! executor shared by the full-simulation and forced-SMP modes.  Campaigns
+//! run through the unified, serializable API in [`crate::spec`]
+//! ([`crate::spec::Campaign`] dispatches every execution mode behind one
+//! entry point).
 //!
 //! # Example
 //!
@@ -45,11 +45,9 @@ use laec_mem::{
     CellForensics, FaultCampaignConfig, FaultTarget, HierarchyConfig, Interference, ProtocolKind,
 };
 use laec_obs::{Obs, Phase, ProgressEvent};
-use laec_pipeline::{EccScheme, PipelineConfig};
+use laec_pipeline::{EccScheme, PipelineConfig, Simulator};
 use laec_workloads::{eembc_suite, kernel_suite, GeneratorConfig, Workload};
 use serde::{Deserialize, Serialize};
-
-use crate::runner::{run_with_config, run_with_config_forensic};
 
 // ---------------------------------------------------------------------------
 // Spec: the axes of the grid
@@ -108,20 +106,6 @@ impl PlatformVariant {
             PlatformVariant::Smp(cores) => cores,
             _ => 1,
         }
-    }
-
-    /// Stable label used in reports and on the CLI.
-    #[deprecated(note = "use the `Display` impl (`to_string()`) instead")]
-    #[must_use]
-    pub fn label(self) -> String {
-        self.to_string()
-    }
-
-    /// Parses a CLI label.
-    #[deprecated(note = "use the `FromStr` impl (`label.parse()`) instead")]
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Self> {
-        label.parse().ok()
     }
 
     /// Every label the [`FromStr`](std::str::FromStr) impl accepts for a distinct
@@ -222,20 +206,6 @@ impl std::str::FromStr for PlatformVariant {
             }
         }
     }
-}
-
-/// Stable label for a scheme, used in reports and on the CLI.
-#[deprecated(note = "use `EccScheme`'s `Display` impl (`scheme.to_string()`) instead")]
-#[must_use]
-pub fn scheme_label(scheme: EccScheme) -> String {
-    scheme.to_string()
-}
-
-/// Parses a CLI scheme label; `speculate-flushN` selects an N-cycle penalty.
-#[deprecated(note = "use `EccScheme`'s `FromStr` impl (`label.parse()`) instead")]
-#[must_use]
-pub fn scheme_from_label(label: &str) -> Option<EccScheme> {
-    label.parse().ok()
 }
 
 /// The full description of one campaign: every axis of the grid plus the
@@ -573,7 +543,7 @@ pub(crate) fn job_injection_seed(spec: &CampaignSpec, job: Job, axis_seed: u64) 
     )
 }
 
-/// The number of worker threads [`run_campaign`] uses when the caller passes
+/// The number of worker threads a campaign uses when the caller passes
 /// `0`: the machine's available parallelism.
 #[must_use]
 pub fn default_threads() -> usize {
@@ -583,46 +553,45 @@ pub fn default_threads() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// Which simulator the grid executor runs each cell on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CellRunner {
+    /// `smpN` cells on the N-core system, every other cell on the
+    /// uniprocessor pipeline ([`crate::spec::ExecutionMode::Full`]).
+    ByPlatform,
+    /// Every cell on the N-core system, single-core platforms as 1-core
+    /// systems ([`crate::spec::ExecutionMode::Smp`]).
+    Smp,
+}
+
+impl CellRunner {
+    /// The engine name progress events carry.
+    fn engine(self) -> &'static str {
+        match self {
+            CellRunner::ByPlatform => "full",
+            CellRunner::Smp => "smp",
+        }
+    }
+}
+
 /// Expands `spec` into its job grid and executes it on `threads` workers
-/// (`0` = [`default_threads`]).
+/// (`0` = [`default_threads`]), each cell on `runner`'s simulator.
+///
+/// With `forensics`, uniprocessor cells also trace per-fault lifecycles:
+/// the second element holds one [`CellForensics`] per grid cell, in the
+/// report's cell order (empty record sets otherwise).  The report is
+/// byte-identical either way — forensics only observes.
 ///
 /// # Panics
 ///
 /// Panics if a worker thread panics (the underlying simulator is panic-free
 /// on valid programs; a panic indicates a bug, not bad input).
-#[deprecated(
-    note = "build a `laec_core::spec::CampaignSpec` with `ExecutionMode::Full` and use \
-            `laec_core::spec::Campaign::run` (reports are byte-identical)"
-)]
-#[must_use]
-pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> CampaignReport {
-    execute_full(spec, threads, &Obs::disabled())
-}
-
-/// The full-simulation grid engine behind [`run_campaign`] and
-/// [`crate::spec::FullSimEngine`].
-#[must_use]
-pub(crate) fn execute_full(spec: &CampaignSpec, threads: usize, obs: &Obs) -> CampaignReport {
-    execute_full_impl(spec, threads, obs, false).0
-}
-
-/// [`execute_full`] with per-fault lifecycle forensics: also returns one
-/// [`CellForensics`] per grid cell, in the report's cell order.  The report
-/// itself is byte-identical to [`execute_full`] — forensics only observes.
-#[must_use]
-pub(crate) fn execute_full_forensic(
+pub(crate) fn execute_grid(
     spec: &CampaignSpec,
     threads: usize,
     obs: &Obs,
-) -> (CampaignReport, Vec<CellForensics>) {
-    execute_full_impl(spec, threads, obs, true)
-}
-
-fn execute_full_impl(
-    spec: &CampaignSpec,
-    threads: usize,
-    obs: &Obs,
-    forensic: bool,
+    runner: CellRunner,
+    forensics: bool,
 ) -> (CampaignReport, Vec<CellForensics>) {
     let workloads = spec.materialize_workloads();
     let threads = if threads == 0 {
@@ -654,8 +623,9 @@ fn execute_full_impl(
         }
     }
 
+    let engine = runner.engine();
     obs.emit(&ProgressEvent::CampaignStart {
-        engine: "full",
+        engine,
         jobs: jobs.len() as u64,
     });
     let total = jobs.len() as u64;
@@ -666,15 +636,11 @@ fn execute_full_impl(
         } else {
             Phase::FullSim
         };
-        let (cell, forensics) = {
+        let (cell, cell_forensics) = {
             let _span = obs.span(phase);
-            if forensic {
-                run_job_forensic(spec, &workloads, job)
-            } else {
-                (run_job(spec, &workloads, job), CellForensics::default())
-            }
+            run_job(spec, &workloads, job, runner, forensics)
         };
-        let tallies = forensic.then(|| forensics.outcome_tallies());
+        let tallies = forensics.then(|| cell_forensics.outcome_tallies());
         obs.emit(&ProgressEvent::Cell {
             index: index as u64,
             total,
@@ -686,10 +652,10 @@ fn execute_full_impl(
             phase: phase.label(),
             outcomes: tallies.as_ref().map(|t| &t[..]),
         });
-        (cell, forensics)
+        (cell, cell_forensics)
     });
     obs.emit(&ProgressEvent::CampaignEnd {
-        engine: "full",
+        engine,
         executed: total,
     });
     let (cells, forensics): (Vec<_>, Vec<_>) = results.into_iter().unzip();
@@ -811,43 +777,31 @@ pub(crate) fn cell_from_result(
     }
 }
 
-pub(crate) fn run_job(spec: &CampaignSpec, workloads: &[Workload], job: Job) -> CampaignCell {
-    let workload = &workloads[job.workload];
-    let platform = spec.platforms[job.platform];
-    let config = job_config(spec, job);
-    let fault_seed = job.fault.map(|index| spec.fault_seeds[index]);
-    let result = if platform.cores() > 1 {
-        crate::smp_campaign::run_observed_core(workload, config, platform.cores(), spec.protocol)
-    } else {
-        run_with_config(workload, config)
-    };
-    cell_from_result(
-        workload,
-        spec.schemes[job.scheme],
-        platform,
-        fault_seed,
-        &result,
-    )
-}
-
-/// [`run_job`] with per-fault lifecycle forensics.  Multi-core cells run
+/// Runs one grid job on `runner`'s simulator.  With `forensics`,
+/// uniprocessor cells trace per-fault lifecycles; multi-core cells run
 /// unchanged — the coherent SMP port does not expose forensics — and
 /// contribute an empty record set.
-pub(crate) fn run_job_forensic(
+pub(crate) fn run_job(
     spec: &CampaignSpec,
     workloads: &[Workload],
     job: Job,
+    runner: CellRunner,
+    forensics: bool,
 ) -> (CampaignCell, CellForensics) {
     let workload = &workloads[job.workload];
     let platform = spec.platforms[job.platform];
     let config = job_config(spec, job);
     let fault_seed = job.fault.map(|index| spec.fault_seeds[index]);
-    let mut result = if platform.cores() > 1 {
+    let mut result = if runner == CellRunner::Smp || platform.cores() > 1 {
         crate::smp_campaign::run_observed_core(workload, config, platform.cores(), spec.protocol)
     } else {
-        run_with_config_forensic(workload, config)
+        let mut simulator = Simulator::new(workload.program.clone(), config);
+        if forensics {
+            simulator.enable_forensics();
+        }
+        simulator.execute()
     };
-    let forensics = result.forensics.take().unwrap_or_default();
+    let cell_forensics = result.forensics.take().unwrap_or_default();
     let cell = cell_from_result(
         workload,
         spec.schemes[job.scheme],
@@ -855,7 +809,7 @@ pub(crate) fn run_job_forensic(
         fault_seed,
         &result,
     );
-    (cell, forensics)
+    (cell, cell_forensics)
 }
 
 /// Normalizes every cell to its group's fault-free no-ECC baseline.
@@ -1115,12 +1069,23 @@ pub fn render_campaign(report: &CampaignReport) -> String {
 mod tests {
     use super::*;
 
+    fn full(spec: &CampaignSpec, threads: usize) -> CampaignReport {
+        execute_grid(
+            spec,
+            threads,
+            &Obs::disabled(),
+            CellRunner::ByPlatform,
+            false,
+        )
+        .0
+    }
+
     #[test]
     fn grid_expansion_covers_every_axis_combination() {
         let mut spec = CampaignSpec::smoke();
         spec.workloads = WorkloadSet::Named(vec!["vector_sum".into(), "fir_filter".into()]);
         spec.fault_seeds = vec![1, 2];
-        let report = execute_full(&spec, 2, &Obs::disabled());
+        let report = full(&spec, 2);
         // 2 workloads x 1 platform x 4 schemes x (1 fault-free + 2 faulty).
         assert_eq!(report.total_jobs, 2 * 4 * 3);
         assert_eq!(report.cells.len(), 24);
@@ -1132,7 +1097,7 @@ mod tests {
     fn slowdowns_are_normalised_to_no_ecc() {
         let mut spec = CampaignSpec::smoke();
         spec.workloads = WorkloadSet::Named(vec!["vector_sum".into()]);
-        let report = execute_full(&spec, 1, &Obs::disabled());
+        let report = full(&spec, 1);
         let no_ecc = report
             .cells
             .iter()
@@ -1150,7 +1115,7 @@ mod tests {
         let mut spec = CampaignSpec::smoke();
         spec.workloads = WorkloadSet::Named(vec!["vector_sum".into()]);
         spec.schemes = vec![EccScheme::Laec, EccScheme::ExtraStage];
-        let report = execute_full(&spec, 1, &Obs::disabled());
+        let report = full(&spec, 1);
         assert!(report.cells.iter().all(|c| c.slowdown.is_none()));
         assert!(report.slowdowns.averages.iter().all(Option::is_none));
     }
@@ -1162,7 +1127,7 @@ mod tests {
         spec.schemes = vec![EccScheme::Laec];
         spec.fault_seeds = vec![0xBEEF];
         spec.fault_interval = 50;
-        let report = execute_full(&spec, 2, &Obs::disabled());
+        let report = full(&spec, 2);
         let faulty = report
             .cells
             .iter()
@@ -1320,15 +1285,6 @@ mod tests {
                 "`{bogus}` must not parse"
             );
         }
-        // The deprecated wrappers stay behaviourally identical.
-        #[allow(deprecated)]
-        {
-            assert_eq!(
-                scheme_from_label(&scheme_label(EccScheme::Laec)),
-                Some(EccScheme::Laec)
-            );
-            assert_eq!(scheme_from_label("bogus"), None);
-        }
     }
 
     /// Display → FromStr is the identity over every platform variant,
@@ -1344,19 +1300,10 @@ mod tests {
                 "`{bogus}` must not parse"
             );
         }
-        #[allow(deprecated)]
-        {
-            assert_eq!(
-                PlatformVariant::from_label(&PlatformVariant::ContendedBus(8).label()),
-                Some(PlatformVariant::ContendedBus(8))
-            );
-            assert_eq!(PlatformVariant::from_label("bogus"), None);
-        }
     }
 
     /// `--platforms smp1` must parse and collapse to the uniprocessor
-    /// exactly like `PlatformVariant::smp(1)` does (the old `from_label`
-    /// rejected it while the constructor deliberately collapsed it).
+    /// exactly like `PlatformVariant::smp(1)` does.
     #[test]
     fn smp1_label_parses_and_collapses_to_write_back() {
         assert_eq!(
@@ -1367,12 +1314,5 @@ mod tests {
             "smp1".parse::<PlatformVariant>().unwrap(),
             PlatformVariant::smp(1)
         );
-        #[allow(deprecated)]
-        {
-            assert_eq!(
-                PlatformVariant::from_label("smp1"),
-                Some(PlatformVariant::WriteBack)
-            );
-        }
     }
 }

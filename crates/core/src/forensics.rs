@@ -107,7 +107,7 @@ impl ForensicsReport {
     /// (same cell order), keeping only cells that recorded faults.
     #[must_use]
     pub(crate) fn build(
-        spec: &crate::spec::CampaignSpec,
+        spec: &crate::campaign::CampaignSpec,
         report: &CampaignReport,
         forensics: &[CellForensics],
     ) -> Self {

@@ -30,13 +30,14 @@
 //! checkpoint/resume for campaigns that shard across invocations.
 //!
 //! All campaign execution is unified behind [`spec`]: a serializable,
-//! versioned [`spec::CampaignSpec`] (grid axes + [`spec::ExecutionMode`]),
-//! a fluent [`spec::CampaignBuilder`] with typed validation
-//! ([`spec::SpecError`]), and one dispatch point — [`spec::Campaign::run`]
-//! — over the four [`spec::CampaignEngine`] implementations (full
-//! simulation, trace-backed replay, stratified sampling, forced SMP).  The
-//! `laec-cli` binary drives all layers from the command line and can dump
-//! or load any campaign as a JSON spec file.
+//! versioned [`spec::CampaignSpec`] (the [`campaign::CampaignSpec`] grid
+//! plus a [`spec::ExecutionMode`]), a fluent [`spec::CampaignBuilder`] with
+//! typed validation ([`spec::SpecError`]), and one dispatch point —
+//! [`spec::Campaign::run`], or [`spec::Campaign::run_with`] with
+//! [`spec::RunOptions`] for metrics, progress and fault forensics — that
+//! selects the full-simulation, trace-backed, sampled or forced-SMP engine
+//! by mode.  The `laec-cli` binary drives all layers from the command line
+//! and can dump or load any campaign as a JSON spec file.
 //!
 //! # Example
 //!
@@ -78,25 +79,13 @@ pub use sampling::{
 };
 pub use smp_campaign::run_observed_core;
 pub use spec::{
-    engine_for, Campaign, CampaignBuilder, CampaignEngine, CampaignOutcome, EngineCaps,
-    ExecutionMode, FullSimEngine, PlanViolation, SampledEngine, SmpEngine, SpecError,
-    TraceBackedEngine, ValidatedSpec, SPEC_VERSION,
+    Campaign, CampaignBuilder, CampaignOutcome, EngineCaps, ExecutionMode, PlanViolation,
+    RunOptions, SpecError, ValidatedSpec, SPEC_VERSION,
 };
 pub use trace_backed::{
-    cell_fingerprint, record_cell, replay_cell, replay_cell_events, replay_cell_events_forensic,
-    trace_file_name, TraceBackedStats, TracedCampaign,
+    cell_fingerprint, record_cell, replay_cell, replay_cell_events, trace_file_name,
+    TraceBackedStats, TracedCampaign,
 };
-
-// The four legacy entry points remain importable from the crate root; they
-// are thin shims over the engines behind `spec::Campaign::run`.
-#[allow(deprecated)]
-pub use campaign::run_campaign;
-#[allow(deprecated)]
-pub use sampling::run_campaign_sampled;
-#[allow(deprecated)]
-pub use smp_campaign::run_campaign_smp;
-#[allow(deprecated)]
-pub use trace_backed::run_campaign_trace_backed;
 
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use experiment::{

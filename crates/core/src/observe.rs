@@ -26,7 +26,7 @@ use crate::trace_backed::TraceBackedStats;
 /// `engine_counters` from the engine's own statistics.  No-op when `obs`
 /// is disabled.
 ///
-/// [`crate::spec::Campaign::run_observed`] calls this automatically; the
+/// [`crate::spec::Campaign::run_with`] calls this automatically; the
 /// CLI's sharded sampling path calls it directly on the outcome it
 /// assembles from a restored [`crate::sampling::Sampler`].
 pub fn record_outcome_metrics(outcome: &CampaignOutcome, obs: &Obs) {
@@ -191,7 +191,8 @@ fn record_sampled_metrics(report: &SampledReport, obs: &Obs) {
 /// sections inherit the determinism contract.  No-op when `obs` is
 /// disabled.
 ///
-/// [`crate::spec::Campaign::run_forensic`] calls this automatically.
+/// [`crate::spec::Campaign::run_with`] calls this automatically when the
+/// run asks for forensics.
 pub fn record_forensics_metrics(report: &ForensicsReport, obs: &Obs) {
     if !obs.is_enabled() {
         return;
@@ -244,7 +245,15 @@ fn record_trace_counters(stats: &TraceBackedStats, obs: &Obs) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::CampaignBuilder;
+    use crate::spec::{Campaign, CampaignBuilder, RunOptions, ValidatedSpec};
+
+    fn observed(spec: ValidatedSpec, obs: &Obs) -> CampaignOutcome {
+        let options = RunOptions {
+            obs: obs.clone(),
+            forensics: false,
+        };
+        Campaign::new(spec).run_with(2, &options).0
+    }
 
     #[test]
     fn grid_projection_matches_the_report() {
@@ -253,7 +262,7 @@ mod tests {
             .validate()
             .expect("valid spec");
         let obs = Obs::enabled();
-        let outcome = crate::spec::Campaign::new(spec).run_observed(2, &obs);
+        let outcome = observed(spec, &obs);
         let report = outcome.grid().expect("grid mode");
         let dump = obs.dump();
         assert_eq!(dump.counters["campaign.cells"], report.cells.len() as u64);
@@ -280,7 +289,7 @@ mod tests {
             .validate()
             .expect("valid spec");
         let obs = Obs::disabled();
-        let outcome = crate::spec::Campaign::new(spec).run_observed(2, &obs);
+        let outcome = observed(spec, &obs);
         record_outcome_metrics(&outcome, &obs);
         assert!(obs.dump().counters.is_empty());
     }

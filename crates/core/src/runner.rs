@@ -54,18 +54,6 @@ pub fn run_with_config(workload: &Workload, config: PipelineConfig) -> SimResult
     Simulator::run(workload.program.clone(), config)
 }
 
-/// [`run_with_config`] with per-fault lifecycle forensics enabled: the
-/// result's `forensics` field carries the cell's closed record set (see
-/// `laec_mem::forensics`).  Every architectural and timing field of the
-/// result is identical to [`run_with_config`] — the forensics hooks only
-/// observe.
-#[must_use]
-pub fn run_with_config_forensic(workload: &Workload, config: PipelineConfig) -> SimResult {
-    let mut simulator = Simulator::new(workload.program.clone(), config);
-    simulator.enable_forensics();
-    simulator.execute()
-}
-
 /// Runs one workload under the four Figure 8 schemes.
 #[must_use]
 pub fn compare_schemes(workload: &Workload) -> SchemeComparison {

@@ -1,18 +1,14 @@
-//! The unified campaign API: one serializable, validated spec; one engine
-//! dispatch.
+//! The unified campaign API: one serializable, validated spec; one run
+//! call.
 //!
-//! Historically the campaign layer grew four divergent entry points —
-//! `run_campaign`, `run_campaign_trace_backed`, `run_campaign_sampled`,
-//! `run_campaign_smp` — each with its own option struct, and their mutual
-//! incompatibilities (trace-backed and sampled execution cannot drive
-//! multi-core platforms) were enforced as string checks scattered through
-//! the CLI.  This module replaces that surface with one discipline,
-//! following the single-declarative-experiment-description approach of
-//! gem5-class simulators:
+//! Every campaign — the Figure 8 scheme grid, the platform axis, the fault
+//! campaigns — is described by one [`CampaignSpec`] and executed by one
+//! [`Campaign`], following the single-declarative-experiment-description
+//! approach of gem5-class simulators:
 //!
 //! * [`CampaignSpec`] — a *versioned, JSON-serializable* description of an
-//!   entire campaign: every grid axis **plus** the [`ExecutionMode`] it
-//!   runs under.  [`CampaignSpec::to_json`] /
+//!   entire campaign: the grid axes ([`campaign::CampaignSpec`]) **plus**
+//!   the [`ExecutionMode`] they run under.  [`CampaignSpec::to_json`] /
 //!   [`CampaignSpec::from_json`] round-trip it losslessly, so any run can
 //!   be reproduced from a committed artifact (`laec-cli campaign --spec
 //!   FILE.json`, `--dump-spec`).
@@ -22,14 +18,14 @@
 //!   a **structured** [`SpecError`] (unknown workload, mode × platform
 //!   incompatibility, sampling knobs without sampling mode, …) instead of
 //!   panics or ad-hoc CLI strings.
-//! * [`CampaignEngine`] — the trait the four execution engines implement;
-//!   [`engine_for`] maps a mode to its engine, and [`Campaign::run`] is
-//!   the one dispatch point.  Each engine advertises [`EngineCaps`], which
-//!   is what validation checks modes and platforms against.
+//! * [`Campaign::run`] / [`Campaign::run_with`] — the one dispatch point:
+//!   a `match` on the [`ExecutionMode`] selects the engine.  Each mode
+//!   advertises [`EngineCaps`] ([`ExecutionMode::caps`]), which is what
+//!   validation checks platforms and fault axes against.
 //!
-//! Reports are **byte-identical** to the four legacy entry points for
-//! every mode (asserted end-to-end in `tests/spec.rs`): the engines are
-//! the same code the deprecated free functions shim onto.
+//! Reports are **byte-identical** across thread counts, and across the
+//! full-simulation and trace-backed modes for the same grid (asserted
+//! end-to-end in `tests/trace_replay.rs` and `tests/spec.rs`).
 //!
 //! # Example
 //!
@@ -50,17 +46,16 @@
 use std::fmt;
 use std::path::PathBuf;
 
-use laec_mem::{CellForensics, FaultTarget, ProtocolKind};
+use laec_mem::{FaultTarget, ProtocolKind};
 use laec_obs::Obs;
 use laec_pipeline::EccScheme;
 use laec_workloads::GeneratorConfig;
 use serde::{Serialize, Serializer};
 use serde_json::Value;
 
-use crate::campaign::{self, CampaignReport, PlatformVariant, WorkloadSet};
+use crate::campaign::{self, CampaignReport, CellRunner, PlatformVariant, WorkloadSet};
 use crate::forensics::ForensicsReport;
 use crate::sampling::{self, SampleExecution, SampledReport, SamplingPlan};
-use crate::smp_campaign;
 use crate::trace_backed::{self, TraceBackedStats};
 
 /// The campaign-spec wire-format version this build writes and reads.
@@ -116,6 +111,52 @@ impl ExecutionMode {
             ExecutionMode::Smp => "smp",
         }
     }
+
+    /// What the mode's engine can drive — the data validation checks
+    /// platforms and the fault axis against.
+    #[must_use]
+    pub fn caps(&self) -> EngineCaps {
+        let (multi_core, fault_seed_axis, forensics) = match self {
+            ExecutionMode::Full => (true, true, true),
+            ExecutionMode::TraceBacked { .. } => (false, true, true),
+            ExecutionMode::Sampled { .. } => (false, false, false),
+            ExecutionMode::Smp => (true, true, false),
+        };
+        EngineCaps {
+            name: self.kind(),
+            multi_core,
+            fault_seed_axis,
+            statistical: matches!(self, ExecutionMode::Sampled { .. }),
+            forensics,
+        }
+    }
+}
+
+/// What an execution mode's engine can drive (see [`ExecutionMode::caps`]).
+///
+/// ```
+/// use laec_core::spec::ExecutionMode;
+///
+/// let caps = ExecutionMode::Full.caps();
+/// assert_eq!(caps.name, "full");
+/// assert!(caps.multi_core && caps.fault_seed_axis && !caps.statistical);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EngineCaps {
+    /// The engine's stable name ([`ExecutionMode::kind`]; also the
+    /// `engine` of progress events and metrics dumps).
+    pub name: &'static str,
+    /// `true` if the engine can drive multi-core (`smpN`) platforms.
+    pub multi_core: bool,
+    /// `true` if the engine consumes the fixed fault-seed axis.
+    pub fault_seed_axis: bool,
+    /// `true` if the engine produces a statistical ([`SampledReport`])
+    /// rather than an exhaustive grid report.
+    pub statistical: bool,
+    /// `true` if the engine can trace per-fault lifecycles
+    /// ([`Campaign::run_with`] with [`RunOptions::forensics`] returns a
+    /// [`ForensicsReport`] rather than `None`).
+    pub forensics: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -245,8 +286,7 @@ impl std::error::Error for SpecError {}
 // ---------------------------------------------------------------------------
 
 /// The complete, serializable description of one campaign (spec format v2):
-/// the grid axes of [`campaign::CampaignSpec`] *plus* the
-/// [`ExecutionMode`].
+/// the grid axes *plus* the [`ExecutionMode`] they run under.
 ///
 /// Assemble one with [`CampaignBuilder`], or load one from JSON with
 /// [`CampaignSpec::from_json`]; [`CampaignSpec::validate`] gates execution.
@@ -260,64 +300,19 @@ impl std::error::Error for SpecError {}
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
-    /// The workload axis.
-    pub workloads: WorkloadSet,
-    /// Shape of the synthetic EEMBC-like workloads (ignored for kernels).
-    pub generator: GeneratorConfig,
-    /// The scheme axis.
-    pub schemes: Vec<EccScheme>,
-    /// The platform axis.
-    pub platforms: Vec<PlatformVariant>,
-    /// The fixed fault axis: one faulty run per seed per cell (must be
-    /// empty under [`ExecutionMode::Sampled`]).
-    pub fault_seeds: Vec<u64>,
-    /// Mean cycles between injected upsets on faulty runs.
-    pub fault_interval: u64,
-    /// Which DL1 array faulty runs strike.
-    pub fault_target: FaultTarget,
-    /// The coherence protocol governing multi-core cells (MESI by
-    /// default; Dragon and MOESI require an all-`smpN` platform axis —
-    /// see [`SpecError::ProtocolNeedsSmp`]).
-    pub protocol: ProtocolKind,
-    /// Master seed; every derived seed is a pure function of it and grid
-    /// coordinates.
-    pub seed: u64,
+    /// The grid axes.  Under [`ExecutionMode::Sampled`] the fault-seed axis
+    /// must be empty; non-MESI protocols need an all-`smpN` platform axis
+    /// (see [`SpecError::ProtocolNeedsSmp`]).
+    pub grid: campaign::CampaignSpec,
     /// How the grid executes.
     pub mode: ExecutionMode,
 }
 
 impl CampaignSpec {
-    /// Wraps a legacy grid description in a v2 spec with the given mode.
+    /// The grid axes the engines consume.
     #[must_use]
-    pub fn from_grid(grid: &campaign::CampaignSpec, mode: ExecutionMode) -> Self {
-        CampaignSpec {
-            workloads: grid.workloads.clone(),
-            generator: grid.generator,
-            schemes: grid.schemes.clone(),
-            platforms: grid.platforms.clone(),
-            fault_seeds: grid.fault_seeds.clone(),
-            fault_interval: grid.fault_interval,
-            fault_target: grid.fault_target,
-            protocol: grid.protocol,
-            seed: grid.seed,
-            mode,
-        }
-    }
-
-    /// The grid axes as the legacy description the engines consume.
-    #[must_use]
-    pub fn grid(&self) -> campaign::CampaignSpec {
-        campaign::CampaignSpec {
-            workloads: self.workloads.clone(),
-            generator: self.generator,
-            schemes: self.schemes.clone(),
-            platforms: self.platforms.clone(),
-            fault_seeds: self.fault_seeds.clone(),
-            fault_interval: self.fault_interval,
-            fault_target: self.fault_target,
-            protocol: self.protocol,
-            seed: self.seed,
-        }
+    pub fn grid(&self) -> &campaign::CampaignSpec {
+        &self.grid
     }
 
     /// Serialises the spec as pretty-printed JSON (format version
@@ -365,13 +360,14 @@ impl CampaignSpec {
     /// * [`SpecError::InvalidPlan`] — a structurally invalid sampling
     ///   plan.
     pub fn validate(self) -> Result<ValidatedSpec, SpecError> {
-        if self.schemes.is_empty() {
+        let grid = &self.grid;
+        if grid.schemes.is_empty() {
             return Err(SpecError::EmptyAxis("scheme"));
         }
-        if self.platforms.is_empty() {
+        if grid.platforms.is_empty() {
             return Err(SpecError::EmptyAxis("platform"));
         }
-        if let WorkloadSet::Named(names) = &self.workloads {
+        if let WorkloadSet::Named(names) = &grid.workloads {
             if names.is_empty() {
                 return Err(SpecError::EmptyAxis("workload"));
             }
@@ -380,24 +376,24 @@ impl CampaignSpec {
                 return Err(SpecError::UnknownWorkload(missing.clone()));
             }
         }
-        let caps = engine_for(&self.mode).capabilities();
+        let caps = self.mode.caps();
         if !caps.multi_core {
-            if let Some(platform) = self.platforms.iter().find(|p| p.cores() > 1) {
+            if let Some(platform) = grid.platforms.iter().find(|p| p.cores() > 1) {
                 return Err(SpecError::ModeIncompatiblePlatform {
                     mode: caps.name,
                     platform: platform.to_string(),
                 });
             }
         }
-        if self.protocol != ProtocolKind::Mesi {
-            if let Some(platform) = self.platforms.iter().find(|p| p.cores() <= 1) {
+        if grid.protocol != ProtocolKind::Mesi {
+            if let Some(platform) = grid.platforms.iter().find(|p| p.cores() <= 1) {
                 return Err(SpecError::ProtocolNeedsSmp {
-                    protocol: self.protocol.table().name(),
+                    protocol: grid.protocol.table().name(),
                     platform: platform.to_string(),
                 });
             }
         }
-        if !caps.fault_seed_axis && !self.fault_seeds.is_empty() {
+        if !caps.fault_seed_axis && !grid.fault_seeds.is_empty() {
             return Err(SpecError::FaultSeedsWithSampling);
         }
         if let ExecutionMode::Sampled { plan, .. } = &self.mode {
@@ -409,19 +405,20 @@ impl CampaignSpec {
 
 impl Serialize for CampaignSpec {
     fn serialize(&self, serializer: &mut Serializer) {
+        let grid = &self.grid;
         serializer.begin_object();
         serializer.field("version", &SPEC_VERSION);
-        serializer.field("seed", &self.seed);
-        serializer.field("workloads", &WorkloadsJson(&self.workloads));
-        serializer.field("generator", &GeneratorJson(&self.generator));
-        let schemes: Vec<String> = self.schemes.iter().map(ToString::to_string).collect();
+        serializer.field("seed", &grid.seed);
+        serializer.field("workloads", &WorkloadsJson(&grid.workloads));
+        serializer.field("generator", &GeneratorJson(&grid.generator));
+        let schemes: Vec<String> = grid.schemes.iter().map(ToString::to_string).collect();
         serializer.field("schemes", &schemes);
-        let platforms: Vec<String> = self.platforms.iter().map(ToString::to_string).collect();
+        let platforms: Vec<String> = grid.platforms.iter().map(ToString::to_string).collect();
         serializer.field("platforms", &platforms);
-        serializer.field("fault_seeds", &self.fault_seeds);
-        serializer.field("fault_interval", &self.fault_interval);
-        serializer.field("fault_target", self.fault_target.label());
-        serializer.field("protocol", self.protocol.table().name());
+        serializer.field("fault_seeds", &grid.fault_seeds);
+        serializer.field("fault_interval", &grid.fault_interval);
+        serializer.field("fault_target", grid.fault_target.label());
+        serializer.field("protocol", grid.protocol.table().name());
         serializer.field("mode", &ModeJson(&self.mode));
         serializer.end_object();
     }
@@ -712,15 +709,17 @@ mod decode {
             }
         };
         Ok(CampaignSpec {
-            workloads: workloads(require(members, "workloads")?)?,
-            generator: generator(require(members, "generator")?)?,
-            schemes,
-            platforms,
-            fault_seeds: fault_seeds?,
-            fault_interval: u64_of(require(members, "fault_interval")?, "fault_interval")?,
-            fault_target,
-            protocol,
-            seed: u64_of(require(members, "seed")?, "seed")?,
+            grid: campaign::CampaignSpec {
+                workloads: workloads(require(members, "workloads")?)?,
+                generator: generator(require(members, "generator")?)?,
+                schemes,
+                platforms,
+                fault_seeds: fault_seeds?,
+                fault_interval: u64_of(require(members, "fault_interval")?, "fault_interval")?,
+                fault_target,
+                protocol,
+                seed: u64_of(require(members, "seed")?, "seed")?,
+            },
             mode: mode(require(members, "mode")?)?,
         })
     }
@@ -768,10 +767,10 @@ impl ValidatedSpec {
         &self.spec.mode
     }
 
-    /// The grid axes as the legacy description the engines consume.
+    /// The grid axes the engines consume.
     #[must_use]
-    pub fn grid(&self) -> campaign::CampaignSpec {
-        self.spec.grid()
+    pub fn grid(&self) -> &campaign::CampaignSpec {
+        &self.spec.grid
     }
 
     /// The sampling plan, when the mode is [`ExecutionMode::Sampled`].
@@ -1069,7 +1068,10 @@ impl CampaignBuilder {
                 }
             }
         };
-        Ok(CampaignSpec::from_grid(&self.base, mode))
+        Ok(CampaignSpec {
+            grid: self.base,
+            mode,
+        })
     }
 
     /// [`CampaignBuilder::build`] followed by [`CampaignSpec::validate`].
@@ -1079,235 +1081,6 @@ impl CampaignBuilder {
     /// As both steps.
     pub fn validate(self) -> Result<ValidatedSpec, SpecError> {
         self.build()?.validate()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Engines
-// ---------------------------------------------------------------------------
-
-/// What an execution engine can drive — the data validation checks a
-/// spec's mode and platforms against, replacing scattered string checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineCaps {
-    /// The engine's stable name (matches [`ExecutionMode::kind`]).
-    pub name: &'static str,
-    /// `true` if the engine can drive multi-core (`smpN`) platforms.
-    pub multi_core: bool,
-    /// `true` if the engine consumes the fixed fault-seed axis.
-    pub fault_seed_axis: bool,
-    /// `true` if the engine produces a statistical ([`SampledReport`])
-    /// rather than an exhaustive grid report.
-    pub statistical: bool,
-    /// `true` if the engine can trace per-fault lifecycles
-    /// ([`CampaignEngine::execute_forensic`] returns record sets rather
-    /// than `None`).
-    pub forensics: bool,
-}
-
-/// One campaign execution engine.
-///
-/// The four implementations ([`FullSimEngine`], [`TraceBackedEngine`],
-/// [`SampledEngine`], [`SmpEngine`]) wrap the same code the four legacy
-/// free functions ran, so their reports are byte-identical to the
-/// pre-redesign API.  [`Campaign::run`] dispatches to the engine matching
-/// the spec's [`ExecutionMode`]; validation consults
-/// [`CampaignEngine::capabilities`] so an engine is never handed a spec it
-/// cannot drive.
-///
-/// ```
-/// use laec_core::spec::{engine_for, ExecutionMode};
-///
-/// let caps = engine_for(&ExecutionMode::Full).capabilities();
-/// assert_eq!(caps.name, "full");
-/// assert!(caps.multi_core && caps.fault_seed_axis && !caps.statistical);
-/// ```
-pub trait CampaignEngine {
-    /// What this engine can drive.
-    fn capabilities(&self) -> EngineCaps;
-
-    /// Executes a validated spec on `threads` workers (`0` = all cores),
-    /// observing through `obs` — pass [`Obs::disabled`] for the
-    /// uninstrumented path (the engines pay one branch per site).
-    fn execute(&self, spec: &ValidatedSpec, threads: usize, obs: &Obs) -> CampaignOutcome;
-
-    /// [`CampaignEngine::execute`] with per-fault lifecycle forensics: the
-    /// second element carries one [`CellForensics`] per grid cell, in the
-    /// report's cell order.  The outcome — and therefore the report bytes —
-    /// is identical to [`CampaignEngine::execute`]; the forensics hooks
-    /// only observe.
-    ///
-    /// The default implementation runs the plain path and returns `None` —
-    /// engines advertise support through [`EngineCaps::forensics`].
-    fn execute_forensic(
-        &self,
-        spec: &ValidatedSpec,
-        threads: usize,
-        obs: &Obs,
-    ) -> (CampaignOutcome, Option<Vec<CellForensics>>) {
-        (self.execute(spec, threads, obs), None)
-    }
-}
-
-/// The reference engine: every cell is fully simulated
-/// ([`ExecutionMode::Full`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FullSimEngine;
-
-impl CampaignEngine for FullSimEngine {
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            name: "full",
-            multi_core: true,
-            fault_seed_axis: true,
-            statistical: false,
-            forensics: true,
-        }
-    }
-
-    fn execute(&self, spec: &ValidatedSpec, threads: usize, obs: &Obs) -> CampaignOutcome {
-        CampaignOutcome::Grid {
-            report: campaign::execute_full(&spec.grid(), threads, obs),
-            trace_stats: None,
-        }
-    }
-
-    fn execute_forensic(
-        &self,
-        spec: &ValidatedSpec,
-        threads: usize,
-        obs: &Obs,
-    ) -> (CampaignOutcome, Option<Vec<CellForensics>>) {
-        let (report, forensics) = campaign::execute_full_forensic(&spec.grid(), threads, obs);
-        (
-            CampaignOutcome::Grid {
-                report,
-                trace_stats: None,
-            },
-            Some(forensics),
-        )
-    }
-}
-
-/// The record-once/replay-per-seed engine
-/// ([`ExecutionMode::TraceBacked`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceBackedEngine;
-
-impl CampaignEngine for TraceBackedEngine {
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            name: "trace-backed",
-            multi_core: false,
-            fault_seed_axis: true,
-            statistical: false,
-            forensics: true,
-        }
-    }
-
-    fn execute(&self, spec: &ValidatedSpec, threads: usize, obs: &Obs) -> CampaignOutcome {
-        let cache_dir = match spec.mode() {
-            ExecutionMode::TraceBacked { cache_dir } => cache_dir.as_deref(),
-            _ => None,
-        };
-        let traced = trace_backed::execute_trace_backed(&spec.grid(), threads, cache_dir, obs);
-        CampaignOutcome::Grid {
-            report: traced.report,
-            trace_stats: Some(traced.stats),
-        }
-    }
-
-    fn execute_forensic(
-        &self,
-        spec: &ValidatedSpec,
-        threads: usize,
-        obs: &Obs,
-    ) -> (CampaignOutcome, Option<Vec<CellForensics>>) {
-        let cache_dir = match spec.mode() {
-            ExecutionMode::TraceBacked { cache_dir } => cache_dir.as_deref(),
-            _ => None,
-        };
-        let (traced, forensics) =
-            trace_backed::execute_trace_backed_forensic(&spec.grid(), threads, cache_dir, obs);
-        (
-            CampaignOutcome::Grid {
-                report: traced.report,
-                trace_stats: Some(traced.stats),
-            },
-            Some(forensics),
-        )
-    }
-}
-
-/// The stratified Monte-Carlo engine ([`ExecutionMode::Sampled`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SampledEngine;
-
-impl CampaignEngine for SampledEngine {
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            name: "sampled",
-            multi_core: false,
-            fault_seed_axis: false,
-            statistical: true,
-            forensics: false,
-        }
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the spec's mode is not [`ExecutionMode::Sampled`] (there
-    /// is no meaningful default budget); [`Campaign::run`] never routes
-    /// such a spec here.
-    fn execute(&self, spec: &ValidatedSpec, threads: usize, obs: &Obs) -> CampaignOutcome {
-        let ExecutionMode::Sampled { plan, execution } = spec.mode() else {
-            // laec-lint: allow(panic-in-library) -- documented panic: mode
-            // dispatch in `Campaign::run` routes only Sampled specs here, and
-            // there is no meaningful fallback budget for other modes.
-            panic!("SampledEngine needs ExecutionMode::Sampled");
-        };
-        let (report, stats) =
-            sampling::execute_sampled(&spec.grid(), plan, threads, execution, obs);
-        let trace_stats = matches!(execution, SampleExecution::TraceBacked { .. }).then_some(stats);
-        CampaignOutcome::Sampled {
-            report,
-            trace_stats,
-        }
-    }
-}
-
-/// The forced-SMP engine: every cell runs as an N-core system
-/// ([`ExecutionMode::Smp`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SmpEngine;
-
-impl CampaignEngine for SmpEngine {
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            name: "smp",
-            multi_core: true,
-            fault_seed_axis: true,
-            statistical: false,
-            forensics: false,
-        }
-    }
-
-    fn execute(&self, spec: &ValidatedSpec, threads: usize, obs: &Obs) -> CampaignOutcome {
-        CampaignOutcome::Grid {
-            report: smp_campaign::execute_smp(&spec.grid(), threads, obs),
-            trace_stats: None,
-        }
-    }
-}
-
-/// The engine that executes a given mode.
-#[must_use]
-pub fn engine_for(mode: &ExecutionMode) -> &'static dyn CampaignEngine {
-    match mode {
-        ExecutionMode::Full => &FullSimEngine,
-        ExecutionMode::TraceBacked { .. } => &TraceBackedEngine,
-        ExecutionMode::Sampled { .. } => &SampledEngine,
-        ExecutionMode::Smp => &SmpEngine,
     }
 }
 
@@ -1323,16 +1096,14 @@ pub enum CampaignOutcome {
     /// An exhaustive grid ([`ExecutionMode::Full`],
     /// [`ExecutionMode::TraceBacked`] or [`ExecutionMode::Smp`]).
     Grid {
-        /// The grid report — byte-identical to the legacy entry point of
-        /// the same mode.
+        /// The grid report.
         report: CampaignReport,
         /// Record/replay counters (trace-backed mode only).
         trace_stats: Option<TraceBackedStats>,
     },
     /// A sampled campaign ([`ExecutionMode::Sampled`]).
     Sampled {
-        /// The statistical report — byte-identical to the legacy
-        /// `run_campaign_sampled`.
+        /// The statistical report.
         report: SampledReport,
         /// Record/replay counters (trace-backed sampling only).
         trace_stats: Option<TraceBackedStats>,
@@ -1396,8 +1167,7 @@ impl CampaignOutcome {
         }
     }
 
-    /// The report as pretty-printed JSON — byte-identical to the legacy
-    /// entry point of the same mode.
+    /// The report as pretty-printed JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
         match self {
@@ -1416,14 +1186,30 @@ impl CampaignOutcome {
     }
 }
 
+/// How one [`Campaign::run_with`] call observes the run.
+///
+/// The default observes nothing: a disabled [`Obs`] and no forensics.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions {
+    /// Instrumentation handle: stamped with the spec fingerprint and engine
+    /// name, fed progress events while the engine executes, and filled with
+    /// the outcome's metric sections (see
+    /// [`crate::observe::record_outcome_metrics`]).
+    pub obs: Obs,
+    /// Trace every injected fault's strike → activation → outcome
+    /// lifecycle and return it as a [`ForensicsReport`] (engines whose
+    /// [`EngineCaps::forensics`] is `false` return `None`).
+    pub forensics: bool,
+}
+
 /// A validated campaign, ready to run — the single dispatch point over the
-/// four execution engines.
+/// four execution modes.
 ///
 /// ```
 /// use laec_core::spec::{Campaign, CampaignBuilder};
 ///
 /// let campaign = Campaign::new(CampaignBuilder::smoke().validate().expect("valid"));
-/// assert_eq!(campaign.engine().capabilities().name, "full");
+/// assert_eq!(campaign.spec().mode().kind(), "full");
 /// let outcome = campaign.run(2);
 /// assert!(outcome.architecturally_equivalent());
 /// ```
@@ -1445,65 +1231,76 @@ impl Campaign {
         &self.spec
     }
 
-    /// The engine the spec's mode dispatches to.
-    #[must_use]
-    pub fn engine(&self) -> &'static dyn CampaignEngine {
-        engine_for(self.spec.mode())
-    }
-
-    /// Runs the campaign on `threads` workers (`0` = all cores).
-    ///
-    /// One dispatch, four engines: the report is byte-identical to the
-    /// legacy entry point of the spec's mode, for any thread count.
+    /// Runs the campaign on `threads` workers (`0` = all cores), observing
+    /// nothing.  The report is byte-identical for any thread count.
     #[must_use]
     pub fn run(&self, threads: usize) -> CampaignOutcome {
-        self.run_observed(threads, &Obs::disabled())
+        self.run_with(threads, &RunOptions::default()).0
     }
 
-    /// [`Campaign::run`] under instrumentation: stamps `obs` with the spec
-    /// fingerprint and engine name, streams progress events while the
-    /// engine executes, and projects the finished outcome into the
-    /// deterministic metric sections (see
-    /// [`crate::observe::record_outcome_metrics`]).
-    ///
-    /// The outcome — and therefore the report bytes — is identical to
-    /// [`Campaign::run`]: observation never touches results.
-    #[must_use]
-    pub fn run_observed(&self, threads: usize, obs: &Obs) -> CampaignOutcome {
-        let engine = self.engine();
-        obs.set_context(&self.spec.fingerprint_hex(), engine.capabilities().name);
-        let outcome = engine.execute(&self.spec, threads, obs);
-        crate::observe::record_outcome_metrics(&outcome, obs);
-        outcome
-    }
-
-    /// [`Campaign::run_observed`] with per-fault lifecycle forensics: also
-    /// returns a [`ForensicsReport`] assembling every injected fault's
-    /// strike → activation → outcome record, and projects it into the
-    /// `forensics.*` metric sections (see
+    /// [`Campaign::run`] observed as `options` asks: instrumentation
+    /// through [`RunOptions::obs`] and, when [`RunOptions::forensics`] is
+    /// set and the mode supports it, a [`ForensicsReport`] projected into
+    /// the `forensics.*` metric sections (see
     /// [`crate::observe::record_forensics_metrics`]).
     ///
-    /// The outcome — and therefore the campaign report bytes — is
-    /// identical to [`Campaign::run_observed`]: the forensics hooks only
-    /// observe.  The forensics report inherits the determinism contract
-    /// (same bytes for any `threads` and for the full-simulation and
-    /// trace-backed engines).
-    ///
-    /// Engines that cannot trace lifecycles
-    /// ([`EngineCaps::forensics`] `== false`) return `None`.
+    /// The outcome — and therefore the report bytes — is identical to
+    /// [`Campaign::run`]: observation and forensics never touch results.
+    /// The forensics report inherits the determinism contract (same bytes
+    /// for any `threads` and for the full-simulation and trace-backed
+    /// modes).
     #[must_use]
-    pub fn run_forensic(
+    pub fn run_with(
         &self,
         threads: usize,
-        obs: &Obs,
+        options: &RunOptions,
     ) -> (CampaignOutcome, Option<ForensicsReport>) {
-        let engine = self.engine();
-        obs.set_context(&self.spec.fingerprint_hex(), engine.capabilities().name);
-        let (outcome, forensics) = engine.execute_forensic(&self.spec, threads, obs);
+        let caps = self.spec.mode().caps();
+        let obs = &options.obs;
+        obs.set_context(&self.spec.fingerprint_hex(), caps.name);
+        let forensics = options.forensics && caps.forensics;
+        let grid = self.spec.grid();
+        let run_grid = |runner| {
+            let (report, cells) = campaign::execute_grid(grid, threads, obs, runner, forensics);
+            let outcome = CampaignOutcome::Grid {
+                report,
+                trace_stats: None,
+            };
+            (outcome, cells)
+        };
+        let (outcome, cells) = match self.spec.mode() {
+            ExecutionMode::Full => run_grid(CellRunner::ByPlatform),
+            ExecutionMode::Smp => run_grid(CellRunner::Smp),
+            ExecutionMode::TraceBacked { cache_dir } => {
+                let (traced, cells) = trace_backed::execute_trace_backed(
+                    grid,
+                    threads,
+                    cache_dir.as_deref(),
+                    obs,
+                    forensics,
+                );
+                let outcome = CampaignOutcome::Grid {
+                    report: traced.report,
+                    trace_stats: Some(traced.stats),
+                };
+                (outcome, cells)
+            }
+            ExecutionMode::Sampled { plan, execution } => {
+                let (report, stats) =
+                    sampling::execute_sampled(grid, plan, threads, execution, obs);
+                let trace_stats =
+                    matches!(execution, SampleExecution::TraceBacked { .. }).then_some(stats);
+                let outcome = CampaignOutcome::Sampled {
+                    report,
+                    trace_stats,
+                };
+                (outcome, Vec::new())
+            }
+        };
         crate::observe::record_outcome_metrics(&outcome, obs);
-        let report = match (&outcome, forensics) {
-            (CampaignOutcome::Grid { report, .. }, Some(cells)) => {
-                let forensics = ForensicsReport::build(self.spec.spec(), report, &cells);
+        let report = match &outcome {
+            CampaignOutcome::Grid { report, .. } if forensics => {
+                let forensics = ForensicsReport::build(grid, report, &cells);
                 crate::observe::record_forensics_metrics(&forensics, obs);
                 Some(forensics)
             }
@@ -1521,9 +1318,9 @@ mod tests {
     fn builder_defaults_to_full_mode_on_the_base_grid() {
         let spec = CampaignBuilder::smoke().build().expect("well-formed");
         assert_eq!(spec.mode, ExecutionMode::Full);
-        assert_eq!(spec.grid(), campaign::CampaignSpec::smoke());
+        assert_eq!(spec.grid, campaign::CampaignSpec::smoke());
         let paper = CampaignBuilder::paper().build().expect("well-formed");
-        assert_eq!(paper.grid(), campaign::CampaignSpec::paper_grid());
+        assert_eq!(paper.grid, campaign::CampaignSpec::paper_grid());
     }
 
     #[test]
@@ -1725,7 +1522,7 @@ mod tests {
         let legacy = modern.replace("  \"protocol\": \"mesi\",\n", "");
         assert_ne!(legacy, modern, "the protocol line must have been removed");
         let parsed = CampaignSpec::from_json(&legacy).expect("legacy specs stay readable");
-        assert_eq!(parsed.protocol, ProtocolKind::Mesi);
+        assert_eq!(parsed.grid.protocol, ProtocolKind::Mesi);
         assert_eq!(parsed, CampaignSpec::from_json(&modern).unwrap());
     }
 
@@ -1787,7 +1584,7 @@ mod tests {
             ),
             (ExecutionMode::Smp, true, true, false, false),
         ] {
-            let caps = engine_for(&mode).capabilities();
+            let caps = mode.caps();
             assert_eq!(caps.name, mode.kind());
             assert_eq!(caps.multi_core, multi_core, "{}", caps.name);
             assert_eq!(caps.fault_seed_axis, fault_axis, "{}", caps.name);

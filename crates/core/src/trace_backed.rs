@@ -1,9 +1,9 @@
 //! Trace-backed campaign execution: record once, replay per fault seed.
 //!
-//! [`crate::campaign::run_campaign`] simulates every grid cell from
-//! scratch, although all faulty runs of one workload × platform × scheme
-//! cell share the fault-free run's access stream — only the injected
-//! faults differ.  This module exploits that: the fault-free run of each
+//! Full-simulation mode ([`crate::spec::ExecutionMode::Full`]) simulates
+//! every grid cell from scratch, although all faulty runs of one
+//! workload × platform × scheme cell share the fault-free run's access
+//! stream — only the injected faults differ.  This module exploits that: the fault-free run of each
 //! cell (which the grid contains anyway) is executed once under a
 //! `laec_trace` recorder, and every faulty cell is then *replayed* from
 //! the recording — the memory hierarchy and the fault injector are driven
@@ -13,9 +13,10 @@
 //!
 //! # The byte-identical guarantee
 //!
-//! [`run_campaign_trace_backed`] produces a [`CampaignReport`] that
-//! serialises *byte-identically* to [`crate::campaign::run_campaign`] for
-//! the same spec (asserted end-to-end by `tests/trace_replay.rs`):
+//! Trace-backed mode ([`crate::spec::ExecutionMode::TraceBacked`]) produces
+//! a [`CampaignReport`] that serialises *byte-identically* to
+//! full-simulation mode for the same grid (asserted end-to-end by
+//! `tests/trace_replay.rs`):
 //!
 //! * pipeline-side cell fields (cycles, CPI, hit rates, look-ahead rate)
 //!   are taken from the recorded summary — valid because the replay driver
@@ -43,14 +44,14 @@ use laec_obs::{Obs, Phase, ProgressEvent};
 use laec_pipeline::{EccScheme, PipelineConfig, Simulator};
 use laec_trace::{
     replay_events, Divergence, SharedSink, Trace, TraceContext, TraceDetail, TraceError,
-    TraceEvent, TraceRecorder,
+    TraceEvent, TraceRecorder, FORMAT_VERSION,
 };
 use laec_workloads::Workload;
 
 use crate::campaign::{
     assemble_report, cell_from_result, default_threads, fnv1a, job_injection_seed,
-    registers_fingerprint, run_job, run_job_forensic, run_pool, CampaignCell, CampaignReport,
-    CampaignSpec, Job, PlatformVariant,
+    registers_fingerprint, run_job, run_pool, CampaignCell, CampaignReport, CampaignSpec,
+    CellRunner, Job, PlatformVariant,
 };
 
 /// Execution counters of one trace-backed campaign.
@@ -81,7 +82,7 @@ impl std::fmt::Display for TraceBackedStats {
 /// A campaign report plus how the trace engine earned it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TracedCampaign {
-    /// The report — byte-identical to `run_campaign` on the same spec.
+    /// The report — byte-identical to full-simulation mode on the same grid.
     pub report: CampaignReport,
     /// Record/replay/fallback counters.
     pub stats: TraceBackedStats,
@@ -184,26 +185,11 @@ pub fn replay_cell_events(
         .map(|(cell, _)| cell)
 }
 
-/// [`replay_cell_events`] with per-fault lifecycle forensics enabled on the
-/// replayed hierarchy.  The cell is byte-identical to the non-forensic
-/// replay; the forensics records are byte-identical to a full simulation of
+/// [`replay_cell_events`], optionally with per-fault lifecycle forensics
+/// enabled on the replayed hierarchy.  The cell is byte-identical either
+/// way; the forensics records are byte-identical to a full simulation of
 /// the same grid coordinates (the replay re-issues the recorded
 /// (event, cycle) stream).
-///
-/// # Errors
-///
-/// See [`replay_cell`].
-pub fn replay_cell_events_forensic(
-    spec: &CampaignSpec,
-    trace: &Trace,
-    events: &[TraceEvent],
-    workload: &Workload,
-    fault: Option<FaultCampaignConfig>,
-    fault_axis_seed: Option<u64>,
-) -> Result<(CampaignCell, CellForensics), Divergence> {
-    replay_cell_events_impl(spec, trace, events, workload, fault, fault_axis_seed, true)
-}
-
 #[allow(clippy::too_many_lines)]
 fn replay_cell_events_impl(
     spec: &CampaignSpec,
@@ -212,7 +198,7 @@ fn replay_cell_events_impl(
     workload: &Workload,
     fault: Option<FaultCampaignConfig>,
     fault_axis_seed: Option<u64>,
-    forensic: bool,
+    forensics: bool,
 ) -> Result<(CampaignCell, CellForensics), Divergence> {
     let header = &trace.header;
     let corrupt = |what: &'static str| Divergence::Trace(TraceError::Corrupt(what));
@@ -236,7 +222,7 @@ fn replay_cell_events_impl(
     let config = platform_config(scheme, platform);
     let mut target = ReplayMemory::new(config.hierarchy)
         .with_flush_on_error(matches!(scheme, EccScheme::SpeculateFlush { .. }))
-        .with_forensics(forensic);
+        .with_forensics(forensics);
     if let Some(interference) = config.bus_interference {
         target = target.with_bus_interference(interference);
     }
@@ -323,10 +309,12 @@ pub(crate) enum Origin {
 }
 
 /// Obtains one stratum's fault-free cell plus its decoded recording: from
-/// `cache_dir` when a valid, matching trace is present, otherwise by
-/// recording a fresh full simulation (persisting it back to `cache_dir`
-/// best-effort).  Shared by the trace-backed campaign's phase 1 and the
-/// sampler's baseline phase.
+/// `cache_dir` when a valid, matching trace of the current format version
+/// is present, otherwise by recording a fresh full simulation (persisting
+/// it back to `cache_dir` best-effort).  Older-version files are stale —
+/// their checksums do not cover the header a replay copies into the
+/// report — and are re-recorded.  Shared by the trace-backed campaign's
+/// phase 1 and the sampler's baseline phase.
 pub(crate) fn obtain_recording(
     spec: &CampaignSpec,
     workload: &Workload,
@@ -344,7 +332,10 @@ pub(crate) fn obtain_recording(
     if let Some(dir) = cache_dir {
         if let Ok(bytes) = fs::read(dir.join(&file_name)) {
             let _span = obs.span(Phase::TraceDecode);
-            if let Ok(trace) = Trace::decode(&bytes) {
+            let current = Trace::decode(&bytes)
+                .ok()
+                .filter(|trace| trace.header.version == FORMAT_VERSION);
+            if let Some(trace) = current {
                 if let Ok(events) = trace.decode_events() {
                     if let Ok(cell) =
                         replay_cell_events(spec, &trace, &events, workload, None, None)
@@ -373,62 +364,29 @@ pub(crate) fn obtain_recording(
     (cell, trace, events, Origin::Recorded { cache_write_failed })
 }
 
-/// Runs the campaign in trace-backed mode: fault-free cells are simulated
-/// (or loaded from `cache_dir`) once per workload × platform × scheme and
-/// recorded; faulty cells replay the recording per fault seed, falling
-/// back to full simulation on divergence.  The report is byte-identical to
-/// the full-simulation engine with the same spec.
+/// The trace-backed engine ([`crate::spec::ExecutionMode::TraceBacked`]):
+/// fault-free cells are simulated (or loaded from `cache_dir`) once per
+/// workload × platform × scheme and recorded; faulty cells replay the
+/// recording per fault seed, falling back to full simulation on
+/// divergence.  The report is byte-identical to full-simulation mode with
+/// the same grid.
+///
+/// With `forensics`, also returns one [`CellForensics`] per grid cell, in
+/// the report's cell order (empty record sets otherwise).  Fault-free cells
+/// carry no faults, so their record sets are empty; faulty cells' records
+/// are byte-identical to the full-simulation engine's (the determinism
+/// tests `cmp` the two).
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics.
-#[deprecated(
-    note = "build a `laec_core::spec::CampaignSpec` with `ExecutionMode::TraceBacked` and use \
-            `laec_core::spec::Campaign::run` (reports are byte-identical)"
-)]
-#[must_use]
-pub fn run_campaign_trace_backed(
-    spec: &CampaignSpec,
-    threads: usize,
-    cache_dir: Option<&Path>,
-) -> TracedCampaign {
-    execute_trace_backed(spec, threads, cache_dir, &Obs::disabled())
-}
-
-/// The record-once/replay-per-seed engine behind [`run_campaign_trace_backed`]
-/// and [`crate::spec::TraceBackedEngine`].
-#[must_use]
+/// Panics on a multi-core platform, or if a worker thread panics.
+#[allow(clippy::too_many_lines)]
 pub(crate) fn execute_trace_backed(
     spec: &CampaignSpec,
     threads: usize,
     cache_dir: Option<&Path>,
     obs: &Obs,
-) -> TracedCampaign {
-    execute_trace_backed_impl(spec, threads, cache_dir, obs, false).0
-}
-
-/// [`execute_trace_backed`] with per-fault lifecycle forensics: also
-/// returns one [`CellForensics`] per grid cell, in the report's cell order.
-/// Fault-free cells carry no faults, so their record sets are empty; faulty
-/// cells' records are byte-identical to the full-simulation engine's (the
-/// determinism tests `cmp` the two).
-#[must_use]
-pub(crate) fn execute_trace_backed_forensic(
-    spec: &CampaignSpec,
-    threads: usize,
-    cache_dir: Option<&Path>,
-    obs: &Obs,
-) -> (TracedCampaign, Vec<CellForensics>) {
-    execute_trace_backed_impl(spec, threads, cache_dir, obs, true)
-}
-
-#[allow(clippy::too_many_lines)]
-fn execute_trace_backed_impl(
-    spec: &CampaignSpec,
-    threads: usize,
-    cache_dir: Option<&Path>,
-    obs: &Obs,
-    forensic: bool,
+    forensics: bool,
 ) -> (TracedCampaign, Vec<CellForensics>) {
     assert!(
         spec.platforms.iter().all(|p| p.cores() == 1),
@@ -474,7 +432,7 @@ fn execute_trace_backed_impl(
         };
         // Fault-free cells inject nothing: their forensic tallies are all
         // zero by construction.
-        let tallies = forensic.then(|| CellForensics::default().outcome_tallies());
+        let tallies = forensics.then(|| CellForensics::default().outcome_tallies());
         obs.emit(&ProgressEvent::Cell {
             // The cell's position in the canonical grid order: fault-free
             // cells lead their triple's block of 1 + fault_count cells.
@@ -520,19 +478,16 @@ fn execute_trace_backed_impl(
                     workload,
                     Some(campaign),
                     Some(axis_seed),
-                    forensic,
+                    forensics,
                 )
             };
-            let (cell, replayed, forensics) = match replayed {
-                Ok((cell, forensics)) => (cell, true, forensics),
+            let (cell, replayed, cell_forensics) = match replayed {
+                Ok((cell, cell_forensics)) => (cell, true, cell_forensics),
                 Err(_divergence) => {
                     let _span = obs.span(Phase::FullSimFallback);
-                    let (cell, forensics) = if forensic {
-                        run_job_forensic(spec, &workloads, job)
-                    } else {
-                        (run_job(spec, &workloads, job), CellForensics::default())
-                    };
-                    (cell, false, forensics)
+                    let (cell, cell_forensics) =
+                        run_job(spec, &workloads, job, CellRunner::ByPlatform, forensics);
+                    (cell, false, cell_forensics)
                 }
             };
             let phase = if replayed {
@@ -540,7 +495,7 @@ fn execute_trace_backed_impl(
             } else {
                 Phase::FullSimFallback
             };
-            let tallies = forensic.then(|| forensics.outcome_tallies());
+            let tallies = forensics.then(|| cell_forensics.outcome_tallies());
             obs.emit(&ProgressEvent::Cell {
                 index: (triple * (1 + fault_count) + 1 + fault) as u64,
                 total,
@@ -552,7 +507,7 @@ fn execute_trace_backed_impl(
                 phase: phase.label(),
                 outcomes: tallies.as_ref().map(|t| &t[..]),
             });
-            (cell, replayed, forensics)
+            (cell, replayed, cell_forensics)
         });
     obs.emit(&ProgressEvent::CampaignEnd {
         engine: "trace-backed",
@@ -562,7 +517,7 @@ fn execute_trace_backed_impl(
     // Interleave back into the canonical grid order and aggregate counters.
     let mut stats = TraceBackedStats::default();
     let mut cells = Vec::with_capacity(triples.len() * (1 + fault_count));
-    let mut forensics = Vec::with_capacity(cells.capacity());
+    let mut cell_forensics = Vec::with_capacity(cells.capacity());
     let mut faulty = phase2.into_iter();
     for (cell, _trace, _events, origin) in phase1 {
         match origin {
@@ -573,19 +528,19 @@ fn execute_trace_backed_impl(
             Origin::CacheHit => stats.cache_loads += 1,
         }
         cells.push(cell);
-        forensics.push(CellForensics::default());
+        cell_forensics.push(CellForensics::default());
         for _ in 0..fault_count {
             // laec-lint: allow(panic-in-library) -- phase 2 produced exactly
             // `fault_count` faulty cells per group (same grid expansion as
             // this loop), so the iterator cannot run dry.
-            let (cell, replayed, cell_forensics) = faulty.next().expect("phase-2 grid is complete");
+            let (cell, replayed, records) = faulty.next().expect("phase-2 grid is complete");
             if replayed {
                 stats.replayed += 1;
             } else {
                 stats.fallbacks += 1;
             }
             cells.push(cell);
-            forensics.push(cell_forensics);
+            cell_forensics.push(records);
         }
     }
 
@@ -593,7 +548,7 @@ fn execute_trace_backed_impl(
         report: assemble_report(spec, &workloads, cells),
         stats,
     };
-    (traced, forensics)
+    (traced, cell_forensics)
 }
 
 #[cfg(test)]

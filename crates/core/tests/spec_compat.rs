@@ -16,18 +16,22 @@ const PRE_PROTOCOL: &str = include_str!("fixtures/ci_smoke_pre_protocol.json");
 #[test]
 fn pre_protocol_spec_documents_still_parse() {
     let spec = CampaignSpec::from_json(PRE_PROTOCOL).expect("old spec bytes stay readable");
-    assert_eq!(spec.protocol, ProtocolKind::Mesi, "absent protocol is MESI");
-    // Every other axis decodes exactly as it did when the file was written.
-    assert_eq!(spec.seed, 6892);
     assert_eq!(
-        spec.workloads,
+        spec.grid.protocol,
+        ProtocolKind::Mesi,
+        "absent protocol is MESI"
+    );
+    // Every other axis decodes exactly as it did when the file was written.
+    assert_eq!(spec.grid.seed, 6892);
+    assert_eq!(
+        spec.grid.workloads,
         WorkloadSet::Named(vec!["vector_sum".to_string(), "fir_filter".to_string()])
     );
-    assert_eq!(spec.schemes, vec![EccScheme::NoEcc, EccScheme::Laec]);
-    assert_eq!(spec.platforms, vec![PlatformVariant::WriteBack]);
-    assert_eq!(spec.fault_seeds, vec![1, 2]);
-    assert_eq!(spec.fault_interval, 200);
-    assert_eq!(spec.fault_target, FaultTarget::Data);
+    assert_eq!(spec.grid.schemes, vec![EccScheme::NoEcc, EccScheme::Laec]);
+    assert_eq!(spec.grid.platforms, vec![PlatformVariant::WriteBack]);
+    assert_eq!(spec.grid.fault_seeds, vec![1, 2]);
+    assert_eq!(spec.grid.fault_interval, 200);
+    assert_eq!(spec.grid.fault_target, FaultTarget::Data);
     assert_eq!(spec.mode, ExecutionMode::Full);
     spec.validate().expect("old specs stay runnable");
 }

@@ -138,8 +138,9 @@ mod tests {
     }
 
     fn smoke_spec_json() -> String {
-        let grid = laec_core::campaign::CampaignSpec::smoke();
-        laec_core::spec::CampaignSpec::from_grid(&grid, laec_core::spec::ExecutionMode::Full)
+        laec_core::spec::CampaignBuilder::smoke()
+            .build()
+            .expect("well-formed")
             .to_json()
     }
 
@@ -198,7 +199,9 @@ mod tests {
                 spec_json: spec.clone() + "\n",
                 report_json: "{}\n".to_string(),
                 report_txt: "REPORT\n".to_string(),
-                meta_json: "{}\n".to_string(),
+                job: 1,
+                mode: "full".to_string(),
+                shards: 1,
             },
         )
         .expect("publish");

@@ -32,7 +32,6 @@ use laec_core::sampling::{
 };
 use laec_core::spec::{CampaignOutcome, ExecutionMode, ValidatedSpec};
 use laec_obs::ProgressEvent;
-use serde::Serializer;
 
 use crate::clock;
 use crate::events::EventLog;
@@ -304,7 +303,6 @@ impl Server {
             Collected::Report { json, txt } => {
                 let mut spec_json = validated.spec().to_json();
                 spec_json.push('\n');
-                let meta = meta_json(entry.id, &key, validated.mode().kind(), kinds.len() as u64);
                 store::publish(
                     &self.paths,
                     &key,
@@ -312,7 +310,9 @@ impl Server {
                         spec_json,
                         report_json: json,
                         report_txt: txt,
-                        meta_json: meta,
+                        job: entry.id,
+                        mode: validated.mode().kind().to_string(),
+                        shards: kinds.len() as u64,
                     },
                 )?;
                 record.state = JobState::Done;
@@ -356,7 +356,7 @@ impl Server {
         let grid = validated.grid();
         match validated.mode() {
             ExecutionMode::Sampled { plan, execution } => {
-                self.collect_sampled(job, key, &grid, plan, execution, shards)
+                self.collect_sampled(job, key, grid, plan, execution, shards)
             }
             _ => self.collect_whole(job, key),
         }
@@ -617,18 +617,4 @@ impl Server {
 fn pid_is_dead(pid: u32) -> bool {
     let proc_root = Path::new("/proc");
     proc_root.is_dir() && !proc_root.join(pid.to_string()).exists()
-}
-
-/// The provenance record published as `meta.json`.
-fn meta_json(job: u64, key: &str, mode_kind: &str, shards: u64) -> String {
-    let mut s = Serializer::compact();
-    s.begin_object();
-    s.field("store_key", key);
-    s.field("mode", mode_kind);
-    s.field("job", &job);
-    s.field("shards", &shards);
-    s.end_object();
-    let mut line = s.finish();
-    line.push('\n');
-    line
 }

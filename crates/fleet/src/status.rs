@@ -142,10 +142,10 @@ mod tests {
     #[test]
     fn submissions_show_up_queued() {
         let paths = scratch_root("queued");
-        let grid = laec_core::campaign::CampaignSpec::smoke();
-        let spec =
-            laec_core::spec::CampaignSpec::from_grid(&grid, laec_core::spec::ExecutionMode::Full)
-                .to_json();
+        let spec = laec_core::spec::CampaignBuilder::smoke()
+            .build()
+            .expect("well-formed")
+            .to_json();
         let Submission { id, .. } =
             crate::submit(&paths, &spec, crate::DEFAULT_PRIORITY).expect("submit");
         let report = status(&paths).expect("status");

@@ -14,18 +14,26 @@
 //!   prints (trailing newline included), so `cmp` against a redirected
 //!   flag-driven run passes,
 //! * `report.txt`  — the rendered text report,
-//! * `meta.json`   — provenance (job id, engine, shard count); written
-//!   last, its presence is the publication marker.
+//! * `meta.json`   — provenance (job id, engine, shard count) plus the
+//!   [`hash128`] digest of each artifact above; written last, its presence
+//!   is the publication marker.
 //!
 //! Publication stages the whole directory and renames it into place: a
 //! reader never observes a partial entry, and the losing side of a
 //! concurrent publish race simply discards its staging copy (the bytes
 //! were identical anyway — that is the whole point of the key).
+//!
+//! Nothing read back from the store is trusted: [`lookup`] re-hashes every
+//! artifact against the digests in `meta.json` and evicts an entry that
+//! fails (bit rot, a hand edit, an entry without digests), so the job is
+//! recomputed instead of served.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use laec_core::hash128;
 use laec_core::spec::ValidatedSpec;
+use serde::{Serialize, Serializer};
 
 use crate::paths::{sorted_dir, staging_path, FleetPaths};
 use crate::{io_err, FleetError};
@@ -37,14 +45,63 @@ pub fn store_key(validated: &ValidatedSpec) -> String {
     format!("{:032x}", validated.fingerprint())
 }
 
-/// The published entry directory for `key`, if it exists.
+/// The artifact files of an entry, in publication order (`meta.json`
+/// follows them and records their digests).
+const ARTIFACT_FILES: [&str; 3] = ["spec.json", "report.json", "report.txt"];
+
+/// The published entry directory for `key`, if it exists and every
+/// artifact still matches the digest `meta.json` recorded for it.
 ///
 /// `meta.json` is written into the staged directory before the rename
-/// and therefore can only be observed inside a complete entry.
+/// and therefore can only be observed inside a complete entry.  An entry
+/// that fails verification is evicted, so the caller recomputes it.
 #[must_use]
 pub fn lookup(paths: &FleetPaths, key: &str) -> Option<PathBuf> {
     let dir = paths.store_entry(key);
-    dir.join("meta.json").is_file().then_some(dir)
+    if !is_published(&dir) {
+        return None;
+    }
+    if verified(&dir) {
+        return Some(dir);
+    }
+    evict(&dir);
+    None
+}
+
+fn is_published(dir: &Path) -> bool {
+    dir.join("meta.json").is_file()
+}
+
+/// `true` if every artifact's bytes hash to the digest in `meta.json`.
+fn verified(dir: &Path) -> bool {
+    let Ok(meta) = fs::read_to_string(dir.join("meta.json")) else {
+        return false;
+    };
+    let Ok(meta) = serde_json::parse(&meta) else {
+        return false;
+    };
+    let Some(digests) = meta.get("digests") else {
+        return false;
+    };
+    ARTIFACT_FILES.iter().all(|name| {
+        let recorded = digests.get(name).and_then(|d| d.as_str());
+        let actual = fs::read(dir.join(name)).map(|bytes| digest_hex(&bytes));
+        matches!((recorded, actual), (Some(recorded), Ok(actual)) if recorded == actual)
+    })
+}
+
+/// Removes a corrupt entry: renamed out of the store first, so concurrent
+/// readers see it either whole or gone, then deleted.  Best-effort — a
+/// concurrent evictor may have won the rename.
+fn evict(dir: &Path) {
+    let doomed = staging_path(dir);
+    if fs::rename(dir, &doomed).is_ok() {
+        let _ = fs::remove_dir_all(&doomed);
+    }
+}
+
+fn digest_hex(bytes: &[u8]) -> String {
+    format!("0x{:032x}", hash128(bytes))
 }
 
 /// The artifact set one publication writes.
@@ -56,8 +113,46 @@ pub struct Artifacts {
     pub report_json: String,
     /// The campaign's rendered text report.
     pub report_txt: String,
-    /// Provenance (job id, engine, shards) — the publication marker.
-    pub meta_json: String,
+    /// The job that produced the entry (provenance).
+    pub job: u64,
+    /// The execution-mode kind the job ran under (provenance).
+    pub mode: String,
+    /// How many shards the job ran as (provenance).
+    pub shards: u64,
+}
+
+impl Artifacts {
+    /// The `meta.json` line: provenance plus one digest per artifact file.
+    fn meta_json(&self, key: &str) -> String {
+        let mut s = Serializer::compact();
+        s.begin_object();
+        s.field("store_key", key);
+        s.field("mode", self.mode.as_str());
+        s.field("job", &self.job);
+        s.field("shards", &self.shards);
+        s.field("digests", &Digests(self.contents()));
+        s.end_object();
+        let mut line = s.finish();
+        line.push('\n');
+        line
+    }
+
+    fn contents(&self) -> [&str; 3] {
+        [&self.spec_json, &self.report_json, &self.report_txt]
+    }
+}
+
+/// The `digests` object of `meta.json`: artifact file name → digest.
+struct Digests<'a>([&'a str; 3]);
+
+impl Serialize for Digests<'_> {
+    fn serialize(&self, serializer: &mut Serializer) {
+        serializer.begin_object();
+        for (name, contents) in ARTIFACT_FILES.iter().zip(self.0) {
+            serializer.field(name, digest_hex(contents.as_bytes()).as_str());
+        }
+        serializer.end_object();
+    }
 }
 
 /// Publishes `artifacts` under `key`.  Idempotent: an already-published
@@ -75,14 +170,11 @@ pub fn publish(
     let stage = staging_path(&dir);
     fs::create_dir_all(&stage)
         .map_err(|error| io_err(format!("create {}", stage.display()), error))?;
-    let files = [
-        ("spec.json", artifacts.spec_json.as_str()),
-        ("report.json", artifacts.report_json.as_str()),
-        ("report.txt", artifacts.report_txt.as_str()),
-        // Written last: see the module docs — presence marks completion.
-        ("meta.json", artifacts.meta_json.as_str()),
-    ];
-    for (name, contents) in files {
+    let meta = artifacts.meta_json(key);
+    let files = ARTIFACT_FILES.iter().zip(artifacts.contents());
+    // meta.json is written last: see the module docs — presence marks
+    // completion.
+    for (name, contents) in files.chain([(&"meta.json", meta.as_str())]) {
         let path = stage.join(name);
         fs::write(&path, contents)
             .map_err(|error| io_err(format!("write {}", path.display()), error))?;
@@ -102,11 +194,12 @@ pub fn publish(
     }
 }
 
-/// Number of published entries in the store.
+/// Number of published entries in the store (not verified: counting
+/// never evicts).
 pub fn count(paths: &FleetPaths) -> Result<u64, FleetError> {
     let mut published = 0;
     for name in sorted_dir(&paths.store_dir())? {
-        if lookup(paths, &name).is_some() {
+        if is_published(&paths.store_entry(&name)) {
             published += 1;
         }
     }
@@ -134,7 +227,9 @@ mod tests {
             spec_json: "{\"v\":2}\n".to_string(),
             report_json: "{\"report\":true}\n".to_string(),
             report_txt: "REPORT\n".to_string(),
-            meta_json: "{\"job\":1}\n".to_string(),
+            job: 1,
+            mode: "full".to_string(),
+            shards: 1,
         }
     }
 
@@ -164,6 +259,36 @@ mod tests {
         let report =
             fs::read_to_string(paths.store_entry(&key).join("report.json")).expect("read report");
         assert_eq!(report, "{\"report\":true}\n");
+        let _ = fs::remove_dir_all(paths.root());
+    }
+
+    #[test]
+    fn corrupt_artifacts_are_evicted_on_lookup() {
+        let paths = scratch_root("corrupt");
+        for name in ARTIFACT_FILES.iter().chain(&["meta.json"]) {
+            let key = "12".repeat(16);
+            let dir = publish(&paths, &key, &artifacts()).expect("publish");
+            let path = dir.join(name);
+            let mut bytes = fs::read(&path).expect("read artifact");
+            bytes[1] ^= 0x01;
+            fs::write(&path, bytes).expect("corrupt artifact");
+            assert!(lookup(&paths, &key).is_none(), "corrupt {name} served");
+            assert!(!dir.exists(), "corrupt {name} not evicted");
+            // A fresh publication replaces the evicted entry.
+            publish(&paths, &key, &artifacts()).expect("republish");
+            assert_eq!(lookup(&paths, &key), Some(dir));
+        }
+        let _ = fs::remove_dir_all(paths.root());
+    }
+
+    #[test]
+    fn entries_without_digests_are_evicted_on_lookup() {
+        let paths = scratch_root("undigested");
+        let key = "34".repeat(16);
+        let dir = publish(&paths, &key, &artifacts()).expect("publish");
+        fs::write(dir.join("meta.json"), "{\"job\":1}\n").expect("rewrite meta");
+        assert!(lookup(&paths, &key).is_none());
+        assert!(!dir.exists());
         let _ = fs::remove_dir_all(paths.root());
     }
 

@@ -159,7 +159,7 @@ pub fn plan_shards(validated: &ValidatedSpec, max_shards: usize) -> Vec<TaskKind
     let ExecutionMode::Sampled { .. } = validated.mode() else {
         return vec![TaskKind::Whole];
     };
-    let total = stratum_count(&validated.grid());
+    let total = stratum_count(validated.grid());
     let shards = max_shards.clamp(1, total.max(1));
     let base = total / shards;
     let extra = total % shards;
@@ -176,21 +176,14 @@ pub fn plan_shards(validated: &ValidatedSpec, max_shards: usize) -> Vec<TaskKind
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laec_core::campaign::WorkloadSet;
-    use laec_core::spec::CampaignSpec;
+    use laec_core::spec::CampaignBuilder;
 
     fn sampled_spec(workloads: &[&str]) -> ValidatedSpec {
-        let mut grid = laec_core::campaign::CampaignSpec::smoke();
-        grid.workloads = WorkloadSet::Named(workloads.iter().map(|w| (*w).to_string()).collect());
-        CampaignSpec::from_grid(
-            &grid,
-            ExecutionMode::Sampled {
-                plan: laec_core::sampling::SamplingPlan::new(8),
-                execution: laec_core::sampling::SampleExecution::FullSim,
-            },
-        )
-        .validate()
-        .expect("valid sampled spec")
+        CampaignBuilder::smoke()
+            .named_workloads(workloads.iter().copied())
+            .sampled(8)
+            .validate()
+            .expect("valid sampled spec")
     }
 
     #[test]
@@ -219,7 +212,7 @@ mod tests {
         // 3 workloads x 1 platform x N schemes: smoke() carries the four
         // Figure 8 schemes, so the grid has 12 strata.
         let validated = sampled_spec(&["vector_sum", "fir_filter", "matrix_multiply"]);
-        let total = stratum_count(&validated.grid());
+        let total = stratum_count(validated.grid());
         let kinds = plan_shards(&validated, 5);
         assert_eq!(kinds.len(), 5);
         let mut expected_lo = 0;
@@ -243,15 +236,14 @@ mod tests {
     #[test]
     fn shard_budgets_clamp_to_the_stratum_count() {
         let validated = sampled_spec(&["vector_sum"]);
-        let total = stratum_count(&validated.grid());
+        let total = stratum_count(validated.grid());
         assert_eq!(plan_shards(&validated, 100).len(), total);
         assert_eq!(plan_shards(&validated, 0).len(), 1);
     }
 
     #[test]
     fn grid_jobs_are_one_whole_task() {
-        let grid = laec_core::campaign::CampaignSpec::smoke();
-        let validated = CampaignSpec::from_grid(&grid, ExecutionMode::Full)
+        let validated = CampaignBuilder::smoke()
             .validate()
             .expect("valid grid spec");
         assert_eq!(plan_shards(&validated, 4), vec![TaskKind::Whole]);

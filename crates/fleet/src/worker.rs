@@ -180,7 +180,7 @@ pub fn execute_task(
                 });
             };
             let grid = validated.grid();
-            let mut sampler = Sampler::new_restricted(&grid, plan, execution, 1, lo..hi);
+            let mut sampler = Sampler::new_restricted(grid, plan, execution, 1, lo..hi);
             while !sampler.run_rounds(1, Some(1)) {
                 heartbeat(claim, task);
             }

@@ -14,7 +14,8 @@
 //! event_count         varint
 //! event_bytes_len     varint
 //! events              delta/varint-encoded event stream
-//! checksum            8 bytes  FNV-1a over the event bytes
+//! checksum            8 bytes  FNV-1a over every byte above, magic to
+//!                              events (v1/v2: over the event bytes only)
 //! ```
 //!
 //! Events are delta-encoded against a tiny codec state (previous address,
@@ -36,7 +37,15 @@ use crate::varint;
 ///   switch marker emitted only when the id changes.  v1 containers decode
 ///   unchanged with every event on core 0 (a v2 stream with no markers is
 ///   byte-identical to the v1 encoding of the same single-core events).
-pub const FORMAT_VERSION: u64 = 2;
+/// * v3 — the checksum covers the whole container from the magic to the
+///   end of the event stream, not just the events: a flipped header bit
+///   (a summary counter replays copy into campaign reports) fails decoding
+///   instead of silently changing results.  v1/v2 containers still decode
+///   under their event-only checksum.
+pub const FORMAT_VERSION: u64 = 3;
+
+/// The first format version whose checksum covers the whole container.
+const WHOLE_CONTAINER_CHECKSUM: u64 = 3;
 
 const MAGIC: &[u8; 8] = b"LAECTRC\0";
 
@@ -63,7 +72,7 @@ pub enum TraceError {
     Truncated,
     /// A structurally invalid field (bad opcode, bad UTF-8, …).
     Corrupt(&'static str),
-    /// The event-stream checksum did not match (bit rot / partial write).
+    /// The container checksum did not match (bit rot / partial write).
     ChecksumMismatch,
 }
 
@@ -76,7 +85,7 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::Truncated => write!(f, "truncated trace"),
             TraceError::Corrupt(what) => write!(f, "corrupt trace: {what}"),
-            TraceError::ChecksumMismatch => write!(f, "trace event checksum mismatch"),
+            TraceError::ChecksumMismatch => write!(f, "trace checksum mismatch"),
         }
     }
 }
@@ -117,9 +126,9 @@ pub struct TraceHeader {
     pub detail: TraceDetail,
     /// Workload name the stream was recorded from.
     pub workload: String,
-    /// Scheme label (see `laec_core::campaign::scheme_label`).
+    /// Scheme label (the scheme's `Display` form).
     pub scheme: String,
-    /// Platform label (see `laec_core::campaign::PlatformVariant::label`).
+    /// Platform label (the platform's `Display` form).
     pub platform: String,
     /// Hash of everything that shaped the stream (spec seed, generator
     /// shape, scheme, hierarchy configuration); replaying under a different
@@ -207,7 +216,12 @@ impl Trace {
         varint::write_u64(&mut out, self.header.event_count);
         varint::write_u64(&mut out, self.event_bytes.len() as u64);
         out.extend_from_slice(&self.event_bytes);
-        out.extend_from_slice(&fnv1a(&self.event_bytes).to_le_bytes());
+        let checksum = if self.header.version >= WHOLE_CONTAINER_CHECKSUM {
+            fnv1a(&out)
+        } else {
+            fnv1a(&self.event_bytes)
+        };
+        out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
 
@@ -256,9 +270,14 @@ impl Trace {
             return Err(TraceError::Truncated);
         }
         let event_bytes = bytes[cursor..end].to_vec();
+        let covered = if version >= WHOLE_CONTAINER_CHECKSUM {
+            &bytes[..end]
+        } else {
+            &event_bytes
+        };
+        let expected = fnv1a(covered);
         cursor = end;
-        let checksum = read_u64_le(bytes, &mut cursor)?;
-        if checksum != fnv1a(&event_bytes) {
+        if read_u64_le(bytes, &mut cursor)? != expected {
             return Err(TraceError::ChecksumMismatch);
         }
         Ok(Trace {
@@ -716,6 +735,37 @@ mod tests {
         let event_offset = encoded.len() - 9 - trace.event_bytes_len() / 2;
         encoded[event_offset] ^= 0x40;
         assert_eq!(Trace::decode(&encoded), Err(TraceError::ChecksumMismatch));
+    }
+
+    #[test]
+    fn header_corruption_is_detected() {
+        let trace = sample_trace();
+        let encoded = trace.encode();
+        // A bit flip anywhere after the magic — header, summary, events or
+        // the checksum itself — fails decoding.
+        for offset in MAGIC.len()..encoded.len() {
+            let mut flipped = encoded.clone();
+            flipped[offset] ^= 0x02;
+            assert!(Trace::decode(&flipped).is_err(), "flip at byte {offset}");
+        }
+    }
+
+    #[test]
+    fn older_versions_decode_under_their_event_only_checksum() {
+        for version in [1, 2] {
+            let mut trace = sample_trace();
+            trace.header.version = version;
+            let mut encoded = trace.encode();
+            let tail = encoded.len() - 8;
+            assert_eq!(encoded[tail..], fnv1a(&trace.event_bytes).to_le_bytes());
+            assert_eq!(Trace::decode(&encoded), Ok(trace));
+            // Their headers stay unauthenticated: a flipped summary counter
+            // (the one-byte `cycles` varint) still decodes, which is why the
+            // trace cache re-records such files instead of loading them.
+            encoded[MAGIC.len() + 23] ^= 0x02;
+            let decoded = Trace::decode(&encoded).expect("v1/v2 headers are unchecked");
+            assert_eq!(decoded.header.summary.cycles, 102, "v{version}");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 /// The one-stop import for driving campaigns through the unified API.
 ///
 /// Brings in the serializable [`CampaignSpec`](laec_core::spec::CampaignSpec)
-/// (v2: grid axes + execution mode), the typed
+/// (v2: the grid axes + an execution mode), the typed
 /// [`CampaignBuilder`](laec_core::spec::CampaignBuilder), the
 /// [`Campaign`](laec_core::spec::Campaign) dispatcher and everything a spec
 /// is made of.
@@ -65,8 +65,8 @@ pub mod prelude {
         render_sampled, SampleExecution, SampledReport, Sampler, SamplingPlan,
     };
     pub use laec_core::spec::{
-        engine_for, Campaign, CampaignBuilder, CampaignEngine, CampaignOutcome, CampaignSpec,
-        EngineCaps, ExecutionMode, SpecError, ValidatedSpec,
+        Campaign, CampaignBuilder, CampaignOutcome, CampaignSpec, EngineCaps, ExecutionMode,
+        RunOptions, SpecError, ValidatedSpec,
     };
     pub use laec_core::trace_backed::TraceBackedStats;
     pub use laec_mem::FaultTarget;

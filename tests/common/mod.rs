@@ -1,4 +1,4 @@
-//! Shared test plumbing: run a legacy grid description through the unified
+//! Shared test plumbing: run a grid description through the unified
 //! `spec::Campaign` dispatch in a given execution mode.
 //!
 //! Each integration-test crate pulls in the subset it needs (hence the
@@ -13,9 +13,12 @@ use laec::core::sampling::{SampleExecution, SampledReport, SamplingPlan};
 use laec::core::trace_backed::TracedCampaign;
 use laec::core::{Campaign, CampaignOutcome, CampaignReport, ExecutionMode};
 
-/// Runs a grid spec through the unified dispatch in the given mode.
-pub fn run_mode(spec: &CampaignSpec, mode: ExecutionMode, threads: usize) -> CampaignOutcome {
-    let spec = laec::core::spec::CampaignSpec::from_grid(spec, mode);
+/// Runs a grid through the unified dispatch in the given mode.
+pub fn run_mode(grid: &CampaignSpec, mode: ExecutionMode, threads: usize) -> CampaignOutcome {
+    let spec = laec::core::spec::CampaignSpec {
+        grid: grid.clone(),
+        mode,
+    };
     Campaign::new(spec.validate().expect("valid spec")).run(threads)
 }
 

@@ -1,8 +1,9 @@
 //! The fault-forensics layer's determinism contract:
 //!
-//! 1. **Zero perturbation** — a campaign run with forensics enabled
-//!    produces byte-identical report JSON (and rendered text) to the same
-//!    campaign run plain: the lifecycle hooks only observe.
+//! 1. **Zero perturbation** — in every execution mode, a campaign run with
+//!    forensics requested produces byte-identical report JSON (and rendered
+//!    text) to the same campaign run plain: the lifecycle hooks only
+//!    observe.  Modes that cannot trace lifecycles return no document.
 //! 2. **Thread-count identity** — the forensics document is byte-identical
 //!    for any worker-thread count, because every record is stamped with
 //!    simulation cycles and sorted canonically per cell.
@@ -15,41 +16,83 @@
 //!    (no-ecc cannot correct; LAEC corrects with measurable detection
 //!    latency).
 
-use laec::core::spec::ExecutionMode;
+use laec::core::ForensicsReport;
 use laec::prelude::*;
 
 /// A fault grid that actually activates faults: `fir_filter` re-reads its
 /// coefficient and sample windows, so strikes at interval 200 are touched
 /// before the run ends (unlike pure streaming kernels, where almost every
-/// strike stays latent and is closed as masked).
+/// strike stays latent and is closed as masked).  Sampled mode replaces
+/// the fixed fault seeds with its own draws.
 fn grid_spec(mode: ExecutionMode) -> ValidatedSpec {
-    let mut builder = CampaignBuilder::smoke()
+    let mut spec = CampaignBuilder::smoke()
         .named_workloads(["fir_filter"])
         .schemes([EccScheme::NoEcc, EccScheme::Laec])
         .fault_seeds([1, 2])
-        .fault_interval(200);
-    if matches!(mode, ExecutionMode::TraceBacked { .. }) {
-        builder = builder.trace_backed();
+        .fault_interval(200)
+        .build()
+        .expect("well-formed spec");
+    if matches!(mode, ExecutionMode::Sampled { .. }) {
+        spec.grid.fault_seeds.clear();
     }
-    builder.validate().expect("valid spec")
+    spec.mode = mode;
+    spec.validate().expect("valid spec")
+}
+
+/// Runs `spec` with forensics requested, observed through `obs`.
+fn forensic_run(
+    spec: ValidatedSpec,
+    threads: usize,
+    obs: &Obs,
+) -> (CampaignOutcome, Option<ForensicsReport>) {
+    let options = RunOptions {
+        obs: obs.clone(),
+        forensics: true,
+    };
+    Campaign::new(spec).run_with(threads, &options)
+}
+
+fn every_mode() -> [ExecutionMode; 4] {
+    let mut plan = SamplingPlan::new(16);
+    plan.batch = 8;
+    plan.min_samples = 8;
+    [
+        ExecutionMode::Full,
+        ExecutionMode::TraceBacked { cache_dir: None },
+        ExecutionMode::Sampled {
+            plan,
+            execution: SampleExecution::FullSim,
+        },
+        ExecutionMode::Smp,
+    ]
 }
 
 #[test]
 fn forensic_run_report_is_byte_identical_to_plain_run() {
-    let plain = Campaign::new(grid_spec(ExecutionMode::Full)).run(2);
-    let (forensic, report) =
-        Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &Obs::disabled());
-    assert_eq!(plain.to_json(), forensic.to_json());
-    assert_eq!(plain.render(), forensic.render());
-    let report = report.expect("the full engine traces lifecycles");
-    assert!(report.total_faults() > 0);
+    for mode in every_mode() {
+        let name = mode.kind();
+        let traces = matches!(
+            mode,
+            ExecutionMode::Full | ExecutionMode::TraceBacked { .. }
+        );
+        let plain = Campaign::new(grid_spec(mode.clone())).run(2);
+        let (forensic, report) = forensic_run(grid_spec(mode), 2, &Obs::disabled());
+        assert_eq!(plain.to_json(), forensic.to_json(), "{name}");
+        assert_eq!(plain.render(), forensic.render(), "{name}");
+        match report {
+            Some(report) => {
+                assert!(traces, "the {name} engine cannot trace lifecycles");
+                assert!(report.total_faults() > 0, "{name}");
+            }
+            None => assert!(!traces, "the {name} engine traces lifecycles"),
+        }
+    }
 }
 
 #[test]
 fn forensics_document_is_thread_count_invariant() {
-    let (_, one) = Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(1, &Obs::disabled());
-    let (_, eight) =
-        Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(8, &Obs::disabled());
+    let (_, one) = forensic_run(grid_spec(ExecutionMode::Full), 1, &Obs::disabled());
+    let (_, eight) = forensic_run(grid_spec(ExecutionMode::Full), 8, &Obs::disabled());
     let (one, eight) = (one.expect("forensics"), eight.expect("forensics"));
     assert_eq!(one.to_json(), eight.to_json());
     assert_eq!(one.render(true), eight.render(true));
@@ -58,9 +101,12 @@ fn forensics_document_is_thread_count_invariant() {
 
 #[test]
 fn forensics_document_is_engine_invariant() {
-    let (_, full) = Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &Obs::disabled());
-    let (_, traced) = Campaign::new(grid_spec(ExecutionMode::TraceBacked { cache_dir: None }))
-        .run_forensic(2, &Obs::disabled());
+    let (_, full) = forensic_run(grid_spec(ExecutionMode::Full), 2, &Obs::disabled());
+    let (_, traced) = forensic_run(
+        grid_spec(ExecutionMode::TraceBacked { cache_dir: None }),
+        2,
+        &Obs::disabled(),
+    );
     let (full, traced) = (full.expect("forensics"), traced.expect("forensics"));
     assert!(full.total_faults() > 0);
     assert_eq!(full.to_json(), traced.to_json());
@@ -68,8 +114,7 @@ fn forensics_document_is_engine_invariant() {
 
 #[test]
 fn outcome_classes_track_the_scheme() {
-    let (_, report) =
-        Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &Obs::disabled());
+    let (_, report) = forensic_run(grid_spec(ExecutionMode::Full), 2, &Obs::disabled());
     let report = report.expect("forensics");
     for cell in &report.cells {
         for record in &cell.records {
@@ -124,8 +169,7 @@ fn outcome_classes_track_the_scheme() {
 
 #[test]
 fn chrome_trace_export_is_schema_valid() {
-    let (_, report) =
-        Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &Obs::disabled());
+    let (_, report) = forensic_run(grid_spec(ExecutionMode::Full), 2, &Obs::disabled());
     let report = report.expect("forensics");
     let value = serde_json::parse(&report.chrome_trace_json()).expect("valid JSON");
     let events = value
@@ -159,7 +203,7 @@ fn chrome_trace_export_is_schema_valid() {
 #[test]
 fn metrics_dump_carries_the_forensics_sections() {
     let obs = Obs::enabled();
-    let (_, report) = Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &obs);
+    let (_, report) = forensic_run(grid_spec(ExecutionMode::Full), 2, &obs);
     let report = report.expect("forensics");
     let dump = obs.dump();
     assert_eq!(dump.counters["forensics.faults"], report.total_faults());
@@ -184,15 +228,13 @@ fn metrics_dump_carries_the_forensics_sections() {
 
 #[test]
 fn forensics_incapable_engines_return_none() {
-    let spec = CampaignBuilder::smoke()
-        .named_workloads(["vector_sum"])
-        .schemes([EccScheme::Laec])
-        .sampled(16)
-        .batch(8)
-        .min_samples(8)
-        .validate()
-        .expect("valid sampled spec");
-    let (outcome, forensics) = Campaign::new(spec).run_forensic(2, &Obs::disabled());
-    assert!(outcome.sampled().is_some());
-    assert!(forensics.is_none());
+    for mode in every_mode() {
+        if mode.caps().forensics {
+            continue;
+        }
+        let name = mode.kind();
+        let (outcome, forensics) = forensic_run(grid_spec(mode), 2, &Obs::disabled());
+        assert_eq!(outcome.sampled().is_some(), name == "sampled");
+        assert!(forensics.is_none(), "{name}");
+    }
 }

@@ -35,6 +35,15 @@ fn grid_spec(mode: ExecutionMode) -> ValidatedSpec {
     builder.validate().expect("valid spec")
 }
 
+/// Runs `spec` observed through `obs`.
+fn observed(spec: ValidatedSpec, threads: usize, obs: &Obs) -> CampaignOutcome {
+    let options = RunOptions {
+        obs: obs.clone(),
+        forensics: false,
+    };
+    Campaign::new(spec).run_with(threads, &options).0
+}
+
 /// A small sampled campaign: 1 workload x 1 scheme, 16-sample budget.
 fn sampled_spec() -> ValidatedSpec {
     CampaignBuilder::smoke()
@@ -51,9 +60,9 @@ fn sampled_spec() -> ValidatedSpec {
 fn observed_run_report_is_byte_identical_to_plain_run() {
     let plain = Campaign::new(grid_spec(ExecutionMode::Full)).run(2);
     let obs = Obs::enabled();
-    let observed = Campaign::new(grid_spec(ExecutionMode::Full)).run_observed(2, &obs);
-    assert_eq!(plain.to_json(), observed.to_json());
-    assert_eq!(plain.render(), observed.render());
+    let outcome = observed(grid_spec(ExecutionMode::Full), 2, &obs);
+    assert_eq!(plain.to_json(), outcome.to_json());
+    assert_eq!(plain.render(), outcome.render());
     // And the dump actually recorded the campaign.
     assert_eq!(
         obs.dump().counters["campaign.cells"],
@@ -65,8 +74,8 @@ fn observed_run_report_is_byte_identical_to_plain_run() {
 fn counter_section_is_thread_count_invariant() {
     let one = Obs::enabled();
     let eight = Obs::enabled();
-    let _ = Campaign::new(grid_spec(ExecutionMode::Full)).run_observed(1, &one);
-    let _ = Campaign::new(grid_spec(ExecutionMode::Full)).run_observed(8, &eight);
+    let _ = observed(grid_spec(ExecutionMode::Full), 1, &one);
+    let _ = observed(grid_spec(ExecutionMode::Full), 8, &eight);
     assert_eq!(
         one.dump().counter_section_json(),
         eight.dump().counter_section_json(),
@@ -78,7 +87,7 @@ fn counter_section_is_thread_count_invariant() {
 fn counter_section_survives_a_shard_resume_split() {
     // Fresh, uninterrupted run through the engine dispatch.
     let fresh_obs = Obs::enabled();
-    let _ = Campaign::new(sampled_spec()).run_observed(2, &fresh_obs);
+    let _ = observed(sampled_spec(), 2, &fresh_obs);
 
     // The same campaign driven as two shards with a checkpoint between
     // them — the CLI's --checkpoint/--shard-rounds/--resume path.
@@ -86,14 +95,14 @@ fn counter_section_survives_a_shard_resume_split() {
     let grid = validated.grid();
     let plan = *validated.plan().expect("sampled mode");
     let execution = validated.sample_execution().expect("sampled mode").clone();
-    let mut first = Sampler::new(&grid, &plan, &execution, 2);
+    let mut first = Sampler::new(grid, &plan, &execution, 2);
     assert!(
         !first.run_rounds(2, Some(1)),
         "one round must not complete a 16-sample budget in 8-sample batches"
     );
     let checkpoint =
         SamplerCheckpoint::decode(&first.checkpoint().encode()).expect("checkpoint round-trips");
-    let mut resumed = Sampler::restore(&grid, &plan, &execution, 2, &checkpoint).expect("restores");
+    let mut resumed = Sampler::restore(grid, &plan, &execution, 2, &checkpoint).expect("restores");
     assert!(resumed.run_rounds(2, None));
     let sharded_outcome = CampaignOutcome::Sampled {
         report: resumed.report(),
@@ -114,9 +123,12 @@ fn counter_section_survives_a_shard_resume_split() {
 fn campaign_section_is_engine_invariant_between_full_and_trace_backed() {
     let full = Obs::enabled();
     let traced = Obs::enabled();
-    let _ = Campaign::new(grid_spec(ExecutionMode::Full)).run_observed(2, &full);
-    let _ = Campaign::new(grid_spec(ExecutionMode::TraceBacked { cache_dir: None }))
-        .run_observed(2, &traced);
+    let _ = observed(grid_spec(ExecutionMode::Full), 2, &full);
+    let _ = observed(
+        grid_spec(ExecutionMode::TraceBacked { cache_dir: None }),
+        2,
+        &traced,
+    );
     // The engine-independent projection is identical because the reports
     // are; the engine-specific sections legitimately differ.
     assert_eq!(
@@ -134,7 +146,7 @@ fn campaign_section_is_engine_invariant_between_full_and_trace_backed() {
 #[test]
 fn wall_clock_timings_are_excluded_from_every_compared_section() {
     let obs = Obs::enabled();
-    let _ = Campaign::new(grid_spec(ExecutionMode::Full)).run_observed(2, &obs);
+    let _ = observed(grid_spec(ExecutionMode::Full), 2, &obs);
     let dump = obs.dump();
     assert!(
         !dump.timings.is_empty(),
@@ -156,7 +168,7 @@ fn wall_clock_timings_are_excluded_from_every_compared_section() {
 #[test]
 fn dump_round_trips_through_its_json_form() {
     let obs = Obs::enabled();
-    let _ = Campaign::new(grid_spec(ExecutionMode::Full)).run_observed(2, &obs);
+    let _ = observed(grid_spec(ExecutionMode::Full), 2, &obs);
     let dump = obs.dump();
     let parsed = MetricsDump::from_json(&dump.to_json()).expect("dump parses");
     assert_eq!(parsed, dump);
@@ -176,7 +188,7 @@ fn degenerate_baselines_is_surfaced_in_both_report_json_documents() {
 
     // Sampled report: same field, same contract.
     let obs = Obs::enabled();
-    let sampled_outcome = Campaign::new(sampled_spec()).run_observed(2, &obs);
+    let sampled_outcome = observed(sampled_spec(), 2, &obs);
     let sampled_json = sampled_outcome.to_json();
     assert!(
         sampled_json.contains("\"degenerate_baselines\": 0"),
@@ -215,7 +227,7 @@ fn sampled_progress_events_stream_per_stratum_convergence() {
     obs.attach_progress(Box::new(JsonlSink::to_writer(Box::new(Capture(
         captured.clone(),
     )))));
-    let _ = Campaign::new(sampled_spec()).run_observed(2, &obs);
+    let _ = observed(sampled_spec(), 2, &obs);
 
     let captured = captured.lock().expect("capture lock");
     let text = String::from_utf8(captured.clone()).expect("UTF-8 JSONL");
@@ -245,8 +257,11 @@ fn execution_mode_never_changes_the_report_bytes_under_observation() {
     // The cross-engine byte-identity oracle, now with observation enabled
     // on both sides: full-sim and trace-backed replay agree bit-for-bit
     // even while both are being instrumented.
-    let full = Campaign::new(grid_spec(ExecutionMode::Full)).run_observed(4, &Obs::enabled());
-    let traced = Campaign::new(grid_spec(ExecutionMode::TraceBacked { cache_dir: None }))
-        .run_observed(4, &Obs::enabled());
+    let full = observed(grid_spec(ExecutionMode::Full), 4, &Obs::enabled());
+    let traced = observed(
+        grid_spec(ExecutionMode::TraceBacked { cache_dir: None }),
+        4,
+        &Obs::enabled(),
+    );
     assert_eq!(full.to_json(), traced.to_json());
 }

@@ -1,14 +1,13 @@
 //! The unified campaign API's end-to-end guarantees:
 //!
-//! 1. **Byte-identical reports across the redesign** — for each of the four
-//!    execution modes, the legacy entry point (now a deprecated shim) and
-//!    `Campaign::run` on the same spec serialize to identical JSON.
-//! 2. **Spec serialization** — the committed `specs/ci_smoke.json` golden
+//! 1. **Spec serialization** — the committed `specs/ci_smoke.json` golden
 //!    fixture parses to exactly the spec the builder assembles, its run
 //!    byte-compares to the programmatically built equivalent, and every
 //!    `ExecutionMode` round-trips `to_json` → `from_json` → `==`.
-//! 3. **Typed errors** — representative `SpecError` cases assert by
+//! 2. **Typed errors** — representative `SpecError` cases assert by
 //!    variant, never by error-string match.
+//! 3. **One sampled path** — driving the `Sampler` by hand (the CLI's
+//!    checkpoint/resume path) byte-compares to `Campaign::run`.
 
 use std::path::PathBuf;
 
@@ -91,7 +90,7 @@ fn every_execution_mode_round_trips_through_json() {
     for mode in specimen_modes() {
         let mut spec = golden_equivalent();
         if matches!(mode, ExecutionMode::Sampled { .. }) {
-            spec.fault_seeds.clear();
+            spec.grid.fault_seeds.clear();
         }
         spec.mode = mode;
         let json = spec.to_json();
@@ -145,64 +144,6 @@ fn spec_errors_assert_by_variant_not_by_message() {
     ));
 }
 
-// ---------------------------------------------------------------------------
-// Byte-identity: the deprecated shims vs `Campaign::run`, all four modes
-// ---------------------------------------------------------------------------
-
-fn shim_grid() -> laec::core::campaign::CampaignSpec {
-    golden_equivalent().grid()
-}
-
-fn run_new(mode: ExecutionMode) -> CampaignOutcome {
-    let mut spec = golden_equivalent();
-    if matches!(mode, ExecutionMode::Sampled { .. }) {
-        spec.fault_seeds.clear();
-    }
-    spec.mode = mode;
-    Campaign::new(spec.validate().expect("valid spec")).run(2)
-}
-
-#[test]
-fn full_mode_matches_the_run_campaign_shim_byte_for_byte() {
-    #[allow(deprecated)]
-    let old = laec::core::run_campaign(&shim_grid(), 2);
-    let new = run_new(ExecutionMode::Full);
-    assert_eq!(new.to_json(), old.to_json());
-}
-
-#[test]
-fn trace_backed_mode_matches_the_run_campaign_trace_backed_shim_byte_for_byte() {
-    #[allow(deprecated)]
-    let old = laec::core::run_campaign_trace_backed(&shim_grid(), 2, None);
-    let new = run_new(ExecutionMode::TraceBacked { cache_dir: None });
-    assert_eq!(new.to_json(), old.report.to_json());
-    assert_eq!(new.trace_stats(), Some(&old.stats));
-}
-
-#[test]
-fn sampled_mode_matches_the_run_campaign_sampled_shim_byte_for_byte() {
-    let mut plan = SamplingPlan::new(24);
-    plan.min_samples = 8;
-    plan.batch = 8;
-    let mut grid = shim_grid();
-    grid.fault_seeds.clear();
-    #[allow(deprecated)]
-    let old = laec::core::run_campaign_sampled(&grid, &plan, 2, &SampleExecution::FullSim);
-    let new = run_new(ExecutionMode::Sampled {
-        plan,
-        execution: SampleExecution::FullSim,
-    });
-    assert_eq!(new.to_json(), old.to_json());
-}
-
-#[test]
-fn smp_mode_matches_the_run_campaign_smp_shim_byte_for_byte() {
-    #[allow(deprecated)]
-    let old = laec::core::run_campaign_smp(&shim_grid(), 2);
-    let new = run_new(ExecutionMode::Smp);
-    assert_eq!(new.to_json(), old.to_json());
-}
-
 /// The sharded path the CLI drives (`Sampler` directly, for
 /// checkpoint/resume) stays byte-identical to the one-shot dispatch.
 #[test]
@@ -210,14 +151,15 @@ fn manual_sampler_drive_matches_campaign_run() {
     let mut plan = SamplingPlan::new(24);
     plan.min_samples = 8;
     plan.batch = 8;
-    let mut grid = shim_grid();
-    grid.fault_seeds.clear();
-    let mut sampler = Sampler::new(&grid, &plan, &SampleExecution::FullSim, 2);
+    let mut spec = golden_equivalent();
+    spec.grid.fault_seeds.clear();
+    let mut sampler = Sampler::new(spec.grid(), &plan, &SampleExecution::FullSim, 2);
     assert!(sampler.run_rounds(2, None));
     let manual = sampler.report();
-    let dispatched = run_new(ExecutionMode::Sampled {
+    spec.mode = ExecutionMode::Sampled {
         plan,
         execution: SampleExecution::FullSim,
-    });
+    };
+    let dispatched = Campaign::new(spec.validate().expect("valid spec")).run(2);
     assert_eq!(dispatched.to_json(), manual.to_json());
 }

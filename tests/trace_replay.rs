@@ -3,10 +3,11 @@
 //! simulation campaign for the same spec — fault axis included — and the
 //! persisted trace cache must round-trip.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use laec::core::campaign::{CampaignSpec, PlatformVariant, WorkloadSet};
 use laec::pipeline::EccScheme;
+use laec::trace::{Trace, TraceError};
 
 mod common;
 use common::{run_campaign, run_campaign_trace_backed};
@@ -110,4 +111,63 @@ fn thread_count_does_not_change_trace_backed_reports() {
     let eight = run_campaign_trace_backed(&spec, 8, None);
     assert_eq!(one.report.to_json(), eight.report.to_json());
     assert_eq!(one.stats, eight.stats);
+}
+
+/// The one cached trace file in `cache` whose name starts with `prefix`.
+fn cached_trace(cache: &Path, prefix: &str) -> PathBuf {
+    let mut matches: Vec<PathBuf> = std::fs::read_dir(cache)
+        .expect("cache dir exists")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| {
+            path.file_name()
+                .and_then(|name| name.to_str())
+                .is_some_and(|name| name.starts_with(prefix))
+        })
+        .collect();
+    assert_eq!(
+        matches.len(),
+        1,
+        "one {prefix} trace in {}",
+        cache.display()
+    );
+    matches.remove(0)
+}
+
+/// A flipped header bit in a cached trace must not reach the report: the
+/// container checksum rejects it, and the cell is re-recorded.  Byte 37 of
+/// a `vector_sum__laec__wb` trace is the first byte of the summary's
+/// `cycles` varint, which a replay copies straight into the report.
+#[test]
+fn a_flipped_header_bit_in_a_cached_trace_is_re_recorded() {
+    let mut spec = CampaignSpec::smoke();
+    spec.workloads = WorkloadSet::Named(vec!["vector_sum".into()]);
+    spec.schemes = vec![EccScheme::Laec];
+    spec.fault_seeds = vec![1, 2];
+    spec.fault_interval = 200;
+    let cache = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-cache-flip");
+    let _ = std::fs::remove_dir_all(&cache);
+
+    let clean = run_campaign_trace_backed(&spec, 2, Some(&cache));
+    let path = cached_trace(&cache, "vector_sum__laec__wb__");
+    let recorded = std::fs::read(&path).expect("cached trace");
+    let mut flipped = recorded.clone();
+    flipped[37] ^= 0x02;
+    assert_eq!(Trace::decode(&flipped), Err(TraceError::ChecksumMismatch));
+    std::fs::write(&path, &flipped).expect("corrupt the cached trace");
+
+    let rerun = run_campaign_trace_backed(&spec, 2, Some(&cache));
+    assert_eq!(rerun.report.to_json(), clean.report.to_json());
+    assert_eq!((rerun.stats.recorded, rerun.stats.cache_loads), (1, 0));
+    assert_eq!(std::fs::read(&path).expect("re-recorded"), recorded);
+
+    // Older-format files are stale too: their checksums do not cover the
+    // header, so the cache re-records them instead of trusting them.
+    let mut old = Trace::decode(&recorded).expect("clean trace");
+    old.header.version = 2;
+    std::fs::write(&path, old.encode()).expect("write a v2 trace");
+    let rerun = run_campaign_trace_backed(&spec, 2, Some(&cache));
+    assert_eq!(rerun.report.to_json(), clean.report.to_json());
+    assert_eq!((rerun.stats.recorded, rerun.stats.cache_loads), (1, 0));
+
+    let _ = std::fs::remove_dir_all(&cache);
 }
