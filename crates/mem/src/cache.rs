@@ -225,8 +225,8 @@ impl Cache {
         self.protocol
     }
 
-    /// Selects the coherence protocol (the SMP controller sets this on
-    /// every DL1 it builds; the default is [`ProtocolKind::Mesi`]).
+    /// Selects the coherence protocol (`MemorySystem` sets this on every
+    /// DL1 it builds; the default is [`ProtocolKind::Mesi`]).
     pub fn set_protocol(&mut self, protocol: ProtocolKind) {
         self.protocol = protocol;
     }
@@ -662,8 +662,8 @@ impl Cache {
         }
     }
 
-    /// Sets the coherence state of a resident line (the SMP coherence controller
-    /// adjusts fill states and downgrades through this), returning `true`
+    /// Sets the coherence state of a resident line (the hierarchy's
+    /// coherence flows adjust fill states through this), returning `true`
     /// if the line was resident.  Use [`Cache::invalidate`] to drop a line.
     pub fn set_coherence_state(&mut self, address: u32, state: LineState) -> bool {
         debug_assert_ne!(state, LineState::Invalid, "use invalidate() to drop");

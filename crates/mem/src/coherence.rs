@@ -57,9 +57,6 @@ pub enum LineState {
     Owned,
 }
 
-/// Historical alias from the MESI-only era; [`LineState`] is the same type.
-pub type MesiState = LineState;
-
 impl LineState {
     /// `true` for any resident state.
     #[must_use]
@@ -164,8 +161,9 @@ pub enum LocalWriteAction {
 /// operation → next state + bus action.
 ///
 /// Implementations are stateless lookup tables; the substrate (per-core
-/// caches, the shared bus/L2, the snoop loops) lives in `laec_smp` and
-/// consults the table at each decision point.  Everything else — residency,
+/// caches, the shared bus/L2, the snoop loops) is
+/// [`MemorySystem`](crate::MemorySystem), which consults the table at each
+/// decision point.  Everything else — residency,
 /// LRU, ECC, writebacks, the fault-injection oracle — is shared by all
 /// protocols through the dirty/valid lattice of [`LineState`].
 ///

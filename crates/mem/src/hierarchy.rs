@@ -1,5 +1,5 @@
-//! The full memory system seen by one core: private DL1, shared bus, shared
-//! L2 and main memory.
+//! The memory hierarchy: N private DL1s in front of one shared bus, one
+//! shared write-back L2 and main memory.
 //!
 //! The model is functional *and* timed: every access returns both the correct
 //! architectural value and the number of extra stall cycles beyond a 1-cycle
@@ -7,53 +7,46 @@
 //! keeps the timing interface simple: the pipeline adds `extra_cycles` stall
 //! cycles to the memory stage.
 //!
-//! Only one core executes a task in the paper's evaluation (§IV); the other
-//! cores' bus traffic can be represented with
-//! [`Interference`] for the contention-oriented
-//! ablation.
+//! Only one core executes a task in the paper's evaluation (§IV):
+//! [`MemorySystem::new`] builds that single-core hierarchy, and the other
+//! cores' bus traffic can be represented with [`Interference`] for the
+//! contention-oriented ablation.  [`MemorySystem::with_cores`] builds the
+//! real multi-core topology (driven core by core through `laec_smp`'s
+//! ports): every bus transaction a core issues snoops the other cores' DL1
+//! tag arrays, and the configured [`ProtocolKind`]'s decision table decides
+//! what the snooped copies do — downgrade, supply, invalidate, or absorb a
+//! broadcast update:
+//!
+//! * **MESI** (the default): remote reads downgrade `Modified`/`Exclusive`
+//!   copies to `Shared` (a `Modified` owner supplies the line and refreshes
+//!   the L2), remote write intents invalidate, and stores to `Shared` lines
+//!   first broadcast an upgrade (BusUpgr) that invalidates the other copies.
+//! * **Dragon**: update-based — stores to shared (`Sc`/`Sm`) lines
+//!   broadcast the written word (BusUpd) into the surviving remote copies
+//!   instead of invalidating them, and a dirty supplier keeps its writeback
+//!   obligation (`Sm`) rather than refreshing the L2.
+//! * **MOESI**: a `Modified` copy snooped by a remote read becomes `Owned` —
+//!   it supplies the line cache-to-cache and stays dirty, so the L2 and
+//!   memory remain stale until the owner evicts.
+//!
+//! There is one set of access flows.  The coherence steps are core-indexed
+//! stages inside them that iterate over zero peers when there is one core,
+//! and a store hit consults the protocol only when peers exist, so a 1-core
+//! system under any protocol *is* the uniprocessor hierarchy.
+//! Fault forensics and the hierarchy trace sink observe single-core systems
+//! only.
 
 use laec_ecc::{ErrorInjector, FlipPlan, Outcome};
 use laec_trace::{MemLevel, TraceSink};
 
-use crate::bus::{Bus, Interference};
+use crate::bus::{Bus, BusGrant, Interference};
 use crate::cache::{Cache, EvictedLine};
+use crate::coherence::{LineState, LocalWriteAction, ProtocolKind};
 use crate::config::{AllocatePolicy, HierarchyConfig, WritePolicy};
 use crate::fault::{FaultCampaignConfig, FaultPattern, FaultTarget};
 use crate::forensics::{ActivationKind, CellForensics, DataObservation, ForensicsLog};
 use crate::memory::MainMemory;
-use crate::stats::MemStats;
-
-/// Injects one random campaign strike into `cache` — shared by the
-/// uniprocessor [`MemorySystem`] and the coherent per-core DL1s of
-/// `laec_smp`, so both engines draw the exact same injector stream for the
-/// same configuration (a prerequisite for their byte-identical reports).
-pub fn inject_random_cache_fault(
-    cache: &mut Cache,
-    injector: &mut ErrorInjector,
-    config: &FaultCampaignConfig,
-) -> Option<u32> {
-    match config.target {
-        FaultTarget::Data => {
-            let resident = cache.resident_word_addresses();
-            if resident.is_empty() {
-                return None;
-            }
-            let address = resident[injector.next_below(resident.len() as u64) as usize];
-            let check_bits = cache.config().protection.check_bits();
-            let plan = match config.pattern {
-                FaultPattern::SingleBit => {
-                    injector.random_event(32, check_bits.max(1), config.double_fraction)
-                }
-                FaultPattern::Adjacent2 | FaultPattern::Adjacent4 => {
-                    injector.random_adjacent(32, config.pattern.cluster_bits())
-                }
-            };
-            cache.inject_fault(address, &plan);
-            Some(address)
-        }
-        FaultTarget::State | FaultTarget::Tag => cache.inject_meta_fault(injector, config.target),
-    }
-}
+use crate::stats::{CoherenceStats, MemStats};
 
 /// Result of a load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,43 +71,95 @@ pub struct StoreResponse {
     pub extra_cycles: u32,
 }
 
-/// The per-core memory system.
+/// One core's private slice of the hierarchy: its DL1 and the counters
+/// charged to its accesses.
 #[derive(Debug)]
-pub struct MemorySystem {
-    config: HierarchyConfig,
+pub struct CoreMemory {
     dl1: Cache,
-    l2: Cache,
-    bus: Bus,
-    memory: MainMemory,
     stats: MemStats,
     /// Uncorrectable DL1 errors on dirty data (unrecoverable in a WB DL1).
     unrecoverable_errors: u64,
     /// Uncorrectable DL1 errors recovered by refetching from L2 (WT DL1).
     recovered_by_refetch: u64,
+}
+
+impl CoreMemory {
+    /// The core's private DL1.
+    #[must_use]
+    pub fn dl1(&self) -> &Cache {
+        &self.dl1
+    }
+
+    /// Uncorrectable DL1 errors that hit dirty data (unrecoverable).
+    #[must_use]
+    pub fn unrecoverable_errors(&self) -> u64 {
+        self.unrecoverable_errors
+    }
+
+    /// Uncorrectable DL1 errors recovered by refetching from the L2.
+    #[must_use]
+    pub fn recovered_by_refetch(&self) -> u64 {
+        self.recovered_by_refetch
+    }
+}
+
+/// The memory hierarchy: per-core DL1s over the shared bus, L2 and memory.
+#[derive(Debug)]
+pub struct MemorySystem {
+    config: HierarchyConfig,
+    protocol: ProtocolKind,
+    cores: Vec<CoreMemory>,
+    l2: Cache,
+    bus: Bus,
+    memory: MainMemory,
+    coherence: CoherenceStats,
     /// Optional capture hook for hierarchy-level trace events (line fills,
     /// writebacks).  `None` by default: emission is a single branch.
     sink: Option<Box<dyn TraceSink>>,
-    /// Optional per-fault lifecycle log (see [`crate::forensics`]).  `None`
-    /// by default: every hook is a single branch on the disabled path.
+    /// Optional per-fault lifecycle log (see [`crate::forensics`]) for core
+    /// 0 of a single-core system.  `None` by default: every hook is a single
+    /// branch on the disabled path.
     forensics: Option<Box<ForensicsLog>>,
 }
 
 impl MemorySystem {
-    /// Builds an empty memory system.
+    /// Builds an empty single-core memory system (the paper's platform).
     ///
     /// # Panics
     ///
     /// Panics if either cache configuration is invalid.
     #[must_use]
     pub fn new(config: HierarchyConfig) -> Self {
+        MemorySystem::with_cores(config, 1, ProtocolKind::Mesi)
+    }
+
+    /// Builds an empty hierarchy with `cores` private DL1s kept coherent by
+    /// `protocol`'s decision table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0` or a cache configuration is invalid.
+    #[must_use]
+    pub fn with_cores(config: HierarchyConfig, cores: usize, protocol: ProtocolKind) -> Self {
+        assert!(cores >= 1, "a memory system needs at least one core");
         MemorySystem {
-            dl1: Cache::new(config.dl1),
+            cores: (0..cores)
+                .map(|_| {
+                    let mut dl1 = Cache::new(config.dl1);
+                    dl1.set_protocol(protocol);
+                    CoreMemory {
+                        dl1,
+                        stats: MemStats::new(),
+                        unrecoverable_errors: 0,
+                        recovered_by_refetch: 0,
+                    }
+                })
+                .collect(),
+            protocol,
             l2: Cache::new(config.l2),
             bus: Bus::new(config.bus_latency),
             memory: MainMemory::new(config.memory_latency),
-            stats: MemStats::new(),
-            unrecoverable_errors: 0,
-            recovered_by_refetch: 0,
+            coherence: CoherenceStats::default(),
             sink: None,
             forensics: None,
             config,
@@ -124,12 +169,17 @@ impl MemorySystem {
     /// Turns on fault forensics: every injected fault gets a lifecycle
     /// record (strike → latent residency → first activation → outcome),
     /// stamped with simulation cycles.  Enabling forensics changes no
-    /// architectural or timing behaviour — only observation.
+    /// architectural or timing behaviour — only observation.  Forensics
+    /// follows a single core; on a multi-core system the request is
+    /// ignored.
     pub fn enable_forensics(&mut self) {
+        if self.cores.len() > 1 {
+            return;
+        }
         if self.forensics.is_none() {
             self.forensics = Some(Box::default());
         }
-        self.dl1.enable_journal();
+        self.cores[0].dl1.enable_journal();
     }
 
     /// Closes all still-latent fault records and takes the cell's forensics,
@@ -152,7 +202,7 @@ impl MemorySystem {
     /// activation cycles equal the triggering access's memory clock.
     fn forensics_drain_journal(&mut self) {
         if let Some(log) = self.forensics.as_deref_mut() {
-            for event in self.dl1.drain_journal() {
+            for event in self.cores[0].dl1.drain_journal() {
                 log.apply(event);
             }
         }
@@ -188,7 +238,7 @@ impl MemorySystem {
         if !log.pending_at(address) {
             return;
         }
-        let Some((value, outcome)) = self.dl1.probe_decoded(address) else {
+        let Some((value, outcome)) = self.cores[0].dl1.probe_decoded(address) else {
             // Not resident: the store miss path (allocate or forward) never
             // touches the struck copy; the fill hook settles the record.
             return;
@@ -220,21 +270,22 @@ impl MemorySystem {
     /// data.
     fn forensics_evict_probe(&mut self, address: u32) {
         let line_bytes = self.config.dl1.line_bytes;
-        let fill_base = self.dl1.line_base(address);
+        let dl1 = &self.cores[0].dl1;
+        let fill_base = dl1.line_base(address);
         let Some(log) = self.forensics.as_deref_mut() else {
             return;
         };
         if !log.has_pending_data() {
             return;
         }
-        if let Some(victim_base) = self.dl1.victim_probe(address) {
-            let dirty = self.dl1.coherence_state(victim_base).is_dirty();
+        if let Some(victim_base) = dl1.victim_probe(address) {
+            let dirty = dl1.coherence_state(victim_base).is_dirty();
             for pending_address in log.pending_in_line(victim_base, line_bytes) {
                 if !dirty {
                     log.evaporate_data(pending_address);
                     continue;
                 }
-                if let Some((value, outcome)) = self.dl1.probe_decoded(pending_address) {
+                if let Some((value, outcome)) = dl1.probe_decoded(pending_address) {
                     log.activate_data(
                         pending_address,
                         ActivationKind::WritebackDrain,
@@ -260,11 +311,12 @@ impl MemorySystem {
         let Some(log) = self.forensics.as_deref_mut() else {
             return;
         };
+        let dl1 = &self.cores[0].dl1;
         for pending_address in log.pending_data_addresses() {
-            if !self.dl1.coherence_state(pending_address).is_dirty() {
+            if !dl1.coherence_state(pending_address).is_dirty() {
                 continue;
             }
-            if let Some((value, outcome)) = self.dl1.probe_decoded(pending_address) {
+            if let Some((value, outcome)) = dl1.probe_decoded(pending_address) {
                 log.activate_data(
                     pending_address,
                     ActivationKind::WritebackDrain,
@@ -280,7 +332,7 @@ impl MemorySystem {
     }
 
     /// Attaches a trace sink; the hierarchy emits line-fill and writeback
-    /// events into it (full-detail trace recordings).
+    /// events into it (full-detail trace recordings of a single core).
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.sink = Some(sink);
     }
@@ -296,7 +348,23 @@ impl MemorySystem {
         &self.config
     }
 
-    /// Installs bus interference standing in for the other cores' traffic.
+    /// Number of cores (private DL1s).
+    #[must_use]
+    pub fn cores(&self) -> usize {
+        self.cores.len()
+    }
+
+    /// Core `core`'s private DL1 and counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    #[must_use]
+    pub fn core(&self, core: usize) -> &CoreMemory {
+        &self.cores[core]
+    }
+
+    /// Installs bus interference standing in for off-model cores' traffic.
     pub fn set_bus_interference(&mut self, interference: Interference) {
         self.bus.set_interference(interference);
     }
@@ -319,69 +387,52 @@ impl MemorySystem {
     }
 
     /// Reads the architecturally current value of the aligned word at
-    /// `address` — DL1 first, then L2, then memory — without updating any
-    /// statistics or timing state.  Used by result-checking code.
+    /// `address` — any dirty DL1 copy (`M`/`Sm`/`O`) first, then any DL1
+    /// copy, then the L2, then memory — without updating any statistics or
+    /// timing state.  Used by result-checking code.
     #[must_use]
     pub fn peek_coherent(&self, address: u32) -> u32 {
-        if let Some(value) = self.dl1.peek_word(address) {
-            return value;
-        }
-        if let Some(value) = self.l2.peek_word(address) {
-            return value;
-        }
-        self.memory.peek_word(address)
+        let dirty = self
+            .cores
+            .iter()
+            .filter(|core| core.dl1.coherence_state(address).is_dirty());
+        dirty
+            .chain(&self.cores)
+            .find_map(|core| core.dl1.peek_word(address))
+            .or_else(|| self.l2.peek_word(address))
+            .unwrap_or_else(|| self.memory.peek_word(address))
     }
 
-    /// Performs a load of the aligned word containing `address` at cycle
-    /// `now`.
+    /// Performs core 0's load of the aligned word containing `address` at
+    /// cycle `now`.
     pub fn load_word(&mut self, address: u32, now: u64) -> LoadResponse {
+        self.core_load_word(0, address, now)
+    }
+
+    /// Performs `core`'s load of the aligned word containing `address` at
+    /// cycle `now`.
+    pub fn core_load_word(&mut self, core: usize, address: u32, now: u64) -> LoadResponse {
         if self.forensics.is_some() {
             self.forensics_tick(now);
         }
-        let response = self.load_word_inner(address, now);
+        let response = self.load(core, address, now);
         if self.forensics.is_some() {
             self.forensics_drain_journal();
         }
         response
     }
 
-    fn load_word_inner(&mut self, address: u32, now: u64) -> LoadResponse {
-        if let Some(hit) = self.dl1.read_word(address) {
-            if hit.outcome.is_usable() {
-                if self.forensics.is_some() {
-                    self.forensics_read(address, hit.value, hit.outcome);
-                }
-                return LoadResponse {
-                    value: hit.value,
-                    dl1_hit: true,
-                    extra_cycles: 0,
-                    outcome: hit.outcome,
-                };
-            }
-            // The load observed the uncorrectable word: classify before the
-            // recovery path invalidates and refills the line.
-            if self.forensics.is_some() {
-                self.forensics_read(address, hit.value, hit.outcome);
-            }
-            // Uncorrectable error in the DL1.  Clean lines (always the case in
-            // a write-through DL1, and any unmodified line in a write-back
-            // one) still have a valid copy below: invalidate and refetch.
-            if !hit.dirty {
-                self.recovered_by_refetch += 1;
-                self.dl1.invalidate(address);
-                let (line, extra) = self.fetch_line(self.dl1.line_base(address), now);
-                let word_index = ((address & (self.config.dl1.line_bytes - 1)) >> 2) as usize;
-                let value = line[word_index];
-                self.fill_dl1(address, &line, now);
-                return LoadResponse {
-                    value,
-                    dl1_hit: false,
-                    extra_cycles: extra,
-                    outcome: hit.outcome,
-                };
-            }
-            // A dirty write-back line holds the only copy: data is lost.
-            self.unrecoverable_errors += 1;
+    fn load(&mut self, core: usize, address: u32, now: u64) -> LoadResponse {
+        let Some(hit) = self.cores[core].dl1.read_word(address) else {
+            // DL1 miss: blocking refill from L2 (or memory).
+            return self.read_miss(core, address, now, Outcome::Clean);
+        };
+        if self.forensics.is_some() {
+            // Classify before the recovery path below can invalidate and
+            // refill the line.
+            self.forensics_read(address, hit.value, hit.outcome);
+        }
+        if hit.outcome.is_usable() {
             return LoadResponse {
                 value: hit.value,
                 dl1_hit: true,
@@ -389,24 +440,58 @@ impl MemorySystem {
                 outcome: hit.outcome,
             };
         }
-        // DL1 miss: blocking refill from L2 (or memory).
-        let base = self.dl1.line_base(address);
-        let (line, extra) = self.fetch_line(base, now);
+        // Uncorrectable error in the DL1.  Clean lines (always the case in a
+        // write-through DL1, and any unmodified line in a write-back one)
+        // still have a valid copy below: invalidate and refetch.
+        if !hit.dirty {
+            self.cores[core].recovered_by_refetch += 1;
+            self.cores[core].dl1.invalidate(address);
+            return self.read_miss(core, address, now, hit.outcome);
+        }
+        // A dirty write-back line holds the only copy: data is lost.
+        self.cores[core].unrecoverable_errors += 1;
+        LoadResponse {
+            value: hit.value,
+            dl1_hit: true,
+            extra_cycles: 0,
+            outcome: hit.outcome,
+        }
+    }
+
+    /// Refills the line holding `address` with a plain bus read and installs
+    /// it in the protocol's read-fill state.
+    fn read_miss(&mut self, core: usize, address: u32, now: u64, outcome: Outcome) -> LoadResponse {
+        let base = self.cores[core].dl1.line_base(address);
+        let (line, extra, sharers) = self.fetch_line(core, base, now, false);
         let word_index = ((address & (self.config.dl1.line_bytes - 1)) >> 2) as usize;
         let value = line[word_index];
-        self.fill_dl1(address, &line, now);
+        let state = self.protocol.table().read_fill_state(sharers);
+        self.fill_dl1(core, address, &line, now, state);
         LoadResponse {
             value,
             dl1_hit: false,
             extra_cycles: extra,
-            outcome: Outcome::Clean,
+            outcome,
         }
     }
 
-    /// Performs a store of `value` (bytes selected by `byte_mask`) to the
-    /// aligned word containing `address` at cycle `now`.
+    /// Performs core 0's store of `value` (bytes selected by `byte_mask`) to
+    /// the aligned word containing `address` at cycle `now`.
     pub fn store_word_masked(
         &mut self,
+        address: u32,
+        value: u32,
+        byte_mask: u8,
+        now: u64,
+    ) -> StoreResponse {
+        self.core_store_word_masked(0, address, value, byte_mask, now)
+    }
+
+    /// Performs `core`'s store of `value` (bytes selected by `byte_mask`) to
+    /// the aligned word containing `address` at cycle `now`.
+    pub fn core_store_word_masked(
+        &mut self,
+        core: usize,
         address: u32,
         value: u32,
         byte_mask: u8,
@@ -416,94 +501,301 @@ impl MemorySystem {
             self.forensics_tick(now);
             self.forensics_store_probe(address, byte_mask);
         }
-        let response = self.store_word_masked_inner(address, value, byte_mask, now);
+        let response = self.store(core, address, value, byte_mask, now);
         if self.forensics.is_some() {
             self.forensics_drain_journal();
         }
         response
     }
 
-    fn store_word_masked_inner(
+    fn store(
         &mut self,
+        core: usize,
         address: u32,
         value: u32,
         byte_mask: u8,
         now: u64,
     ) -> StoreResponse {
-        match self.config.dl1.write_policy {
-            WritePolicy::WriteBack => {
-                if self.dl1.write_word_masked(address, value, byte_mask) {
+        if self.config.dl1.write_policy == WritePolicy::WriteThrough {
+            // Update the DL1 copy if present (stays clean), and always
+            // propagate over the bus to the L2.
+            let dl1_hit = self.cores[core]
+                .dl1
+                .write_word_masked(address, value, byte_mask);
+            let extra = self.store_to_l2(core, address, value, byte_mask, now);
+            return StoreResponse {
+                dl1_hit,
+                extra_cycles: extra,
+            };
+        }
+        let mut upgrade_extra = 0;
+        if self.cores.len() > 1 {
+            // The protocol's shared-line write action.  Without peers there
+            // is nobody to notify, so a uniprocessor store never broadcasts.
+            let held = self.cores[core].dl1.coherence_state(address);
+            match self.protocol.table().local_write_action(held) {
+                LocalWriteAction::Silent => {}
+                LocalWriteAction::Invalidate => {
+                    upgrade_extra = self.broadcast_upgrade(core, address, now);
+                }
+                LocalWriteAction::Update => {
                     return StoreResponse {
                         dl1_hit: true,
-                        extra_cycles: 0,
+                        extra_cycles: self
+                            .write_updating(core, address, value, byte_mask, now, true),
                     };
-                }
-                // Write miss.
-                match self.config.dl1.allocate_policy {
-                    AllocatePolicy::WriteAllocate => {
-                        let base = self.dl1.line_base(address);
-                        let (line, extra) = self.fetch_line(base, now);
-                        self.fill_dl1(address, &line, now);
-                        let wrote = self.dl1.write_word_masked(address, value, byte_mask);
-                        debug_assert!(wrote, "line was just filled");
-                        StoreResponse {
-                            dl1_hit: false,
-                            extra_cycles: extra,
-                        }
-                    }
-                    AllocatePolicy::NoWriteAllocate => {
-                        let extra = self.store_to_l2(address, value, byte_mask, now);
-                        StoreResponse {
-                            dl1_hit: false,
-                            extra_cycles: extra,
-                        }
-                    }
-                }
-            }
-            WritePolicy::WriteThrough => {
-                // Update the DL1 copy if present (stays clean), and always
-                // propagate over the bus to the L2.
-                let dl1_hit = self.dl1.write_word_masked(address, value, byte_mask);
-                let extra = self.store_to_l2(address, value, byte_mask, now);
-                StoreResponse {
-                    dl1_hit,
-                    extra_cycles: extra,
                 }
             }
         }
+        if self.cores[core]
+            .dl1
+            .write_word_masked(address, value, byte_mask)
+        {
+            return StoreResponse {
+                dl1_hit: true,
+                extra_cycles: upgrade_extra,
+            };
+        }
+        // Write miss.
+        let extra = match self.config.dl1.allocate_policy {
+            AllocatePolicy::WriteAllocate => {
+                self.write_allocate(core, address, value, byte_mask, now)
+            }
+            AllocatePolicy::NoWriteAllocate => {
+                self.store_to_l2(core, address, value, byte_mask, now)
+            }
+        };
+        StoreResponse {
+            dl1_hit: false,
+            extra_cycles: extra,
+        }
     }
 
-    /// Full-word store convenience wrapper.
+    /// Full-word store convenience wrapper (core 0).
     pub fn store_word(&mut self, address: u32, value: u32, now: u64) -> StoreResponse {
         self.store_word_masked(address, value, 0xF, now)
     }
 
-    /// Fetches a whole DL1 line from the L2 (refilling the L2 from memory if
-    /// needed), returning the line data and the stall penalty.
-    fn fetch_line(&mut self, base: u32, now: u64) -> (Vec<u32>, u32) {
+    /// The write-allocate miss path, returning its stall cost.  The
+    /// invalidate-based protocols fetch with intent to modify (BusRdX) and
+    /// write the filled line; an update-based protocol fetches with a plain
+    /// read (surviving copies move to `Sc`), fills, then broadcasts the
+    /// written word into those copies.
+    fn write_allocate(
+        &mut self,
+        core: usize,
+        address: u32,
+        value: u32,
+        byte_mask: u8,
+        now: u64,
+    ) -> u32 {
+        let base = self.cores[core].dl1.line_base(address);
+        let update = self.protocol.table().uses_update_bus();
+        let (line, mut extra, sharers) = self.fetch_line(core, base, now, !update);
+        if update {
+            let state = self.protocol.table().read_fill_state(sharers);
+            self.fill_dl1(core, address, &line, now, state);
+            extra += self.write_updating(core, address, value, byte_mask, now, sharers);
+        } else {
+            self.fill_dl1(core, address, &line, now, LineState::Exclusive);
+            let wrote = self.cores[core]
+                .dl1
+                .write_word_masked(address, value, byte_mask);
+            debug_assert!(wrote, "line was just filled");
+        }
+        extra
+    }
+
+    /// Writes a resident line under an update-based protocol: when `shared`,
+    /// first broadcast the written word (BusUpd) into the remote copies;
+    /// then write locally and hold `SharedModified` while copies remain
+    /// (`Modified` otherwise).  Returns the broadcast's stall cost.
+    fn write_updating(
+        &mut self,
+        core: usize,
+        address: u32,
+        value: u32,
+        byte_mask: u8,
+        now: u64,
+        shared: bool,
+    ) -> u32 {
+        let (cost, still_shared) = if shared {
+            self.broadcast_update(core, address, value, byte_mask, now)
+        } else {
+            (0, false)
+        };
+        let dl1 = &mut self.cores[core].dl1;
+        let wrote = dl1.write_word_masked(address, value, byte_mask);
+        debug_assert!(wrote, "an updating write targets a resident line");
+        let next = if still_shared {
+            LineState::SharedModified
+        } else {
+            LineState::Modified
+        };
+        dl1.set_coherence_state(address, next);
+        cost
+    }
+
+    /// Charges a bus grant to `core`, returning its wait in cycles.
+    fn charge_bus(&mut self, core: usize, grant: BusGrant) -> u32 {
+        let stats = &mut self.cores[core].stats;
+        stats.bus_transactions += 1;
+        stats.bus_wait_cycles += grant.wait_cycles;
+        u32::try_from(grant.wait_cycles).unwrap_or(u32::MAX)
+    }
+
+    /// Snoops every DL1 except `core`'s for `base` (a DL1-line base address).
+    /// A dirty owner supplies the line: under MESI the supplied words are
+    /// reflected into the L2 so the requester's refill reads fresh data;
+    /// under Dragon/MOESI the owner keeps the writeback obligation and the
+    /// words travel cache-to-cache only (returned to the caller, L2 and
+    /// memory stay stale).  Returns `(sharers, supplied)`: whether any
+    /// remote copy survives, and the directly-supplied line if any.
+    fn snoop_remote(
+        &mut self,
+        core: usize,
+        base: u32,
+        exclusive: bool,
+    ) -> (bool, Option<Vec<u32>>) {
+        let mut sharers = false;
+        let mut supplied_direct = None;
+        for peer in 0..self.cores.len() {
+            if peer == core {
+                continue;
+            }
+            self.cores[core].stats.snoop_lookups += 1;
+            self.coherence.snoop_lookups += 1;
+            let result = self.cores[peer].dl1.snoop(base, exclusive);
+            if !result.had_line {
+                continue;
+            }
+            if let Some(words) = result.supplied {
+                if self.protocol.table().supplies_through_l2() {
+                    // Cache-to-cache intervention: the dirty owner refreshes
+                    // the L2 on the same bus transaction (no extra
+                    // arbitration).
+                    self.write_line_to_l2(core, base, &words);
+                } else {
+                    supplied_direct = Some(words);
+                }
+                self.cores[core].stats.interventions += 1;
+                self.coherence.interventions += 1;
+            }
+            if exclusive {
+                self.cores[core].stats.invalidations_sent += 1;
+                self.cores[peer].stats.invalidations_received += 1;
+                self.coherence.invalidations += 1;
+            } else {
+                sharers = true;
+            }
+        }
+        (sharers, supplied_direct)
+    }
+
+    /// Broadcasts a write intent (BusUpgr) before a store modifies a shared
+    /// line, invalidating every remote copy, and returns the stall cost.
+    /// Any remote owner's copy is identical to ours (it supplied us on our
+    /// fill), so the supplied words can be dropped.
+    fn broadcast_upgrade(&mut self, core: usize, address: u32, now: u64) -> u32 {
+        let grant = self.bus.one_way(now);
+        let wait = self.charge_bus(core, grant);
+        let base = self.cores[core].dl1.line_base(address);
+        self.snoop_remote(core, base, true);
+        self.coherence.upgrades += 1;
+        self.config.bus_latency + wait
+    }
+
+    /// Broadcasts a Dragon bus update (BusUpd): one bus grant, then every
+    /// remote copy of the line merges the written bytes in place and moves
+    /// to `SharedClean` — the writer becomes the owner.  Returns the stall
+    /// cost and whether any remote copy absorbed the update (the writer
+    /// must then hold `SharedModified`, not `Modified`).
+    fn broadcast_update(
+        &mut self,
+        core: usize,
+        address: u32,
+        value: u32,
+        byte_mask: u8,
+        now: u64,
+    ) -> (u32, bool) {
+        let grant = self.bus.one_way(now);
+        let cost = self.config.bus_latency + self.charge_bus(core, grant);
+        let mut sharers = false;
+        for peer in 0..self.cores.len() {
+            if peer == core {
+                continue;
+            }
+            self.cores[core].stats.snoop_lookups += 1;
+            self.coherence.snoop_lookups += 1;
+            if self.cores[peer]
+                .dl1
+                .apply_update(address, value, byte_mask, LineState::SharedClean)
+            {
+                sharers = true;
+                self.cores[core].stats.bus_updates_sent += 1;
+                self.coherence.bus_updates += 1;
+            }
+        }
+        (cost, sharers)
+    }
+
+    /// Refills the L2 line holding `address` from main memory, writing back
+    /// a dirty L2 victim.
+    fn refill_l2(&mut self, core: usize, address: u32) {
+        self.cores[core].stats.memory_accesses += 1;
+        let l2_base = self.l2.line_base(address);
+        let line = self
+            .memory
+            .read_line(l2_base, self.config.l2.words_per_line());
+        if let Some(victim) = self.l2.fill(l2_base, &line) {
+            if victim.dirty {
+                self.memory.write_line(victim.base_address, &victim.words);
+            }
+        }
+    }
+
+    /// Writes a whole DL1 line into the L2 (allocating the enclosing L2 line
+    /// from memory first if needed): a writeback, or a MESI intervention
+    /// reflected into the L2.
+    fn write_line_to_l2(&mut self, core: usize, base: u32, words: &[u32]) {
+        if !self.l2.probe(base) {
+            self.refill_l2(core, base);
+        }
+        for (i, &word) in words.iter().enumerate() {
+            self.l2.write_word(base + 4 * i as u32, word);
+        }
+    }
+
+    /// Fetches a whole DL1 line for `core` from the L2 (refilling the L2
+    /// from memory if needed) after snooping the other DL1s, returning the
+    /// line data, the stall penalty and whether remote copies remain.
+    fn fetch_line(
+        &mut self,
+        core: usize,
+        base: u32,
+        now: u64,
+        exclusive: bool,
+    ) -> (Vec<u32>, u32, bool) {
         let words = self.config.dl1.words_per_line();
         let grant = self.bus.round_trip(now);
-        self.stats.bus_transactions += 1;
-        self.stats.bus_wait_cycles += grant.wait_cycles;
+        let wait = self.charge_bus(core, grant);
+        let mut extra = 2 * self.config.bus_latency + self.config.l2_latency + wait;
 
-        let mut extra = 2 * self.config.bus_latency + self.config.l2_latency;
-        extra += u32::try_from(grant.wait_cycles).unwrap_or(u32::MAX);
+        let (sharers, supplied) = self.snoop_remote(core, base, exclusive);
+        if let Some(line) = supplied {
+            // Dragon/MOESI cache-to-cache supply: the owner's copy travels
+            // directly on this transaction; the L2 and memory stay stale
+            // until the owner writes back.  No memory latency is paid.
+            return (line, extra, sharers);
+        }
 
         if !self.l2.probe(base) {
             // L2 miss: refill the L2 line from main memory first.
             extra += self.config.memory_latency;
-            self.stats.memory_accesses += 1;
-            let l2_base = self.l2.line_base(base);
             if let Some(sink) = &mut self.sink {
-                sink.record_line_fill(MemLevel::L2, l2_base);
+                sink.record_line_fill(MemLevel::L2, self.l2.line_base(base));
             }
-            let l2_words = self.config.l2.words_per_line();
-            let line = self.memory.read_line(l2_base, l2_words);
-            if let Some(evicted) = self.l2.fill(l2_base, &line) {
-                if evicted.dirty {
-                    self.memory.write_line(evicted.base_address, &evicted.words);
-                }
-            }
+            self.refill_l2(core, base);
         }
 
         let line = self.l2.read_line_words(base, words).unwrap_or_else(|| {
@@ -516,96 +808,91 @@ impl MemorySystem {
                     match self.l2.read_word(word_address) {
                         Some(hit) => hit.value,
                         None => {
-                            self.stats.memory_accesses += 1;
+                            self.cores[core].stats.memory_accesses += 1;
                             self.memory.read_word(word_address)
                         }
                     }
                 })
                 .collect()
         });
-        self.stats.l2 = *self.l2.stats();
-        (line, extra)
+        (line, extra, sharers)
     }
 
-    /// Installs a fetched line in the DL1, writing back any dirty victim to
-    /// the L2 (posted, so it does not add to the requesting load's latency).
-    fn fill_dl1(&mut self, address: u32, line: &[u32], now: u64) {
+    /// Installs a fetched line in `core`'s DL1 in `state`, writing back any
+    /// dirty victim to the L2 (posted, so it does not add to the requesting
+    /// access's latency).
+    fn fill_dl1(&mut self, core: usize, address: u32, line: &[u32], now: u64, state: LineState) {
         if self.forensics.is_some() {
             self.forensics_evict_probe(address);
         }
         if let Some(sink) = &mut self.sink {
-            sink.record_line_fill(MemLevel::Dl1, self.dl1.line_base(address));
+            sink.record_line_fill(MemLevel::Dl1, self.cores[core].dl1.line_base(address));
         }
-        if let Some(evicted) = self.dl1.fill(address, line) {
+        if let Some(evicted) = self.cores[core].dl1.fill(address, line) {
             if evicted.dirty {
-                self.writeback_to_l2(&evicted, now);
+                self.writeback_to_l2(core, &evicted, now);
             }
         }
-        self.stats.dl1 = *self.dl1.stats();
+        if state != LineState::Exclusive {
+            // `Cache::fill` installs Exclusive; downgrade when remote copies
+            // survive.
+            self.cores[core].dl1.set_coherence_state(address, state);
+        }
     }
 
-    fn writeback_to_l2(&mut self, evicted: &EvictedLine, now: u64) {
+    fn writeback_to_l2(&mut self, core: usize, evicted: &EvictedLine, now: u64) {
         if let Some(sink) = &mut self.sink {
             sink.record_writeback(MemLevel::Dl1, evicted.base_address);
         }
         let grant = self.bus.one_way(now);
-        self.stats.bus_transactions += 1;
-        self.stats.bus_wait_cycles += grant.wait_cycles;
+        self.charge_bus(core, grant);
         // Ensure the line is present in the L2 (inclusive-style allocate).
-        if !self.l2.probe(evicted.base_address) {
-            let l2_base = self.l2.line_base(evicted.base_address);
-            let l2_words = self.config.l2.words_per_line();
-            self.stats.memory_accesses += 1;
-            let line = self.memory.read_line(l2_base, l2_words);
-            if let Some(victim) = self.l2.fill(l2_base, &line) {
-                if victim.dirty {
-                    self.memory.write_line(victim.base_address, &victim.words);
-                }
-            }
-        }
-        for (i, &word) in evicted.words.iter().enumerate() {
-            self.l2
-                .write_word(evicted.base_address + 4 * i as u32, word);
-        }
-        self.stats.l2 = *self.l2.stats();
+        self.write_line_to_l2(core, evicted.base_address, &evicted.words);
     }
 
     /// Propagates a write-through / no-allocate store to the L2, returning
-    /// the occupancy cost in cycles.
-    fn store_to_l2(&mut self, address: u32, value: u32, byte_mask: u8, now: u64) -> u32 {
+    /// the occupancy cost in cycles.  The bus write invalidates every remote
+    /// copy under every protocol: the SMP platforms are write-back, so only
+    /// single-core systems reach this path in practice.
+    fn store_to_l2(
+        &mut self,
+        core: usize,
+        address: u32,
+        value: u32,
+        byte_mask: u8,
+        now: u64,
+    ) -> u32 {
         let grant = self.bus.one_way(now);
-        self.stats.bus_transactions += 1;
-        self.stats.bus_wait_cycles += grant.wait_cycles;
-        let mut extra = self.config.bus_latency + self.config.l2_latency;
-        extra += u32::try_from(grant.wait_cycles).unwrap_or(u32::MAX);
+        let wait = self.charge_bus(core, grant);
+        let base = self.cores[core].dl1.line_base(address);
+        self.snoop_remote(core, base, true);
+        let mut extra = self.config.bus_latency + self.config.l2_latency + wait;
         if !self.l2.write_word_masked(address, value, byte_mask) {
             // L2 write miss: allocate (the L2 is write-back/write-allocate).
             extra += self.config.memory_latency;
-            self.stats.memory_accesses += 1;
-            let l2_base = self.l2.line_base(address);
-            let l2_words = self.config.l2.words_per_line();
-            let line = self.memory.read_line(l2_base, l2_words);
-            if let Some(victim) = self.l2.fill(l2_base, &line) {
-                if victim.dirty {
-                    self.memory.write_line(victim.base_address, &victim.words);
-                }
-            }
+            self.refill_l2(core, address);
             let wrote = self.l2.write_word_masked(address, value, byte_mask);
             debug_assert!(wrote, "L2 line was just filled");
         }
-        self.stats.l2 = *self.l2.stats();
         extra
     }
 
-    /// Flushes all dirty state (DL1 → L2 → memory) so the memory image holds
-    /// the final architectural values, and returns that image's checksum.
+    /// Flushes all of core 0's dirty state (DL1 → L2 → memory) so the memory
+    /// image holds the final architectural values, and returns that image's
+    /// checksum.
     pub fn drain_to_memory(&mut self) -> u64 {
+        self.core_drain(0)
+    }
+
+    /// Flushes `core`'s DL1 into the L2, then the L2 into memory, and
+    /// returns the memory image's checksum.
+    pub fn core_drain(&mut self, core: usize) -> u64 {
         if self.forensics.is_some() {
             self.forensics_flush_probe();
         }
-        let dirty_dl1 = self.dl1.flush_dirty();
+        let dirty_dl1 = self.cores[core].dl1.flush_dirty();
         for line in &dirty_dl1 {
-            self.writeback_to_l2(line, 0);
+            self.writeback_to_l2(core, line, 0);
         }
         for line in self.l2.flush_dirty() {
             if let Some(sink) = &mut self.sink {
@@ -613,53 +900,97 @@ impl MemorySystem {
             }
             self.memory.write_line(line.base_address, &line.words);
         }
-        self.stats.dl1 = *self.dl1.stats();
-        self.stats.l2 = *self.l2.stats();
         if self.forensics.is_some() {
             self.forensics_drain_journal();
         }
         self.memory.checksum()
     }
 
-    /// Injects a bit-flip plan into the DL1 word at `address`, if resident.
+    /// Injects a bit-flip plan into core 0's DL1 word at `address`, if
+    /// resident.
     pub fn inject_dl1_fault_at(&mut self, address: u32, plan: &FlipPlan) -> bool {
-        let struck = self.dl1.inject_fault(address, plan);
+        let struck = self.cores[0].dl1.inject_fault(address, plan);
         if self.forensics.is_some() {
             self.forensics_drain_journal();
         }
         struck
     }
 
-    /// Injects a random fault into the DL1 following the campaign's target
-    /// and strike pattern, returning the struck address (or `None` if the
-    /// DL1 holds nothing to strike).  Data strikes hit a random resident
-    /// word's data/check bits; metadata strikes (see [`FaultTarget`]) flip a
-    /// MESI state bit or tag bit of a random resident line.
+    /// Injects a random fault into core 0's DL1 (see
+    /// [`MemorySystem::inject_random_core_fault`]).
     pub fn inject_random_dl1_fault(
         &mut self,
         injector: &mut ErrorInjector,
         config: &FaultCampaignConfig,
     ) -> Option<u32> {
-        let struck = inject_random_cache_fault(&mut self.dl1, injector, config);
+        self.inject_random_core_fault(0, injector, config)
+    }
+
+    /// Injects a random fault into `core`'s DL1 following the campaign's
+    /// target and strike pattern, returning the struck address (or `None`
+    /// if the DL1 holds nothing to strike).  Data strikes hit a random
+    /// resident word's data/check bits; metadata strikes (see
+    /// [`FaultTarget`]) flip a coherence-state bit or tag bit of a random
+    /// resident line.
+    pub fn inject_random_core_fault(
+        &mut self,
+        core: usize,
+        injector: &mut ErrorInjector,
+        config: &FaultCampaignConfig,
+    ) -> Option<u32> {
+        let dl1 = &mut self.cores[core].dl1;
+        let struck = match config.target {
+            FaultTarget::Data => {
+                let resident = dl1.resident_word_addresses();
+                if resident.is_empty() {
+                    return None;
+                }
+                let address = resident[injector.next_below(resident.len() as u64) as usize];
+                let check_bits = dl1.config().protection.check_bits();
+                let plan = match config.pattern {
+                    FaultPattern::SingleBit => {
+                        injector.random_event(32, check_bits.max(1), config.double_fraction)
+                    }
+                    FaultPattern::Adjacent2 | FaultPattern::Adjacent4 => {
+                        injector.random_adjacent(32, config.pattern.cluster_bits())
+                    }
+                };
+                dl1.inject_fault(address, &plan);
+                Some(address)
+            }
+            FaultTarget::State | FaultTarget::Tag => dl1.inject_meta_fault(injector, config.target),
+        };
         if self.forensics.is_some() {
             self.forensics_drain_journal();
         }
         struck
     }
 
-    /// Accumulated statistics.
+    /// Core 0's accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> MemStats {
-        let mut stats = self.stats;
-        stats.dl1 = *self.dl1.stats();
+        self.core_stats(0)
+    }
+
+    /// `core`'s accumulated statistics (the L2 counters are system-wide).
+    #[must_use]
+    pub fn core_stats(&self, core: usize) -> MemStats {
+        let mut stats = self.cores[core].stats;
+        stats.dl1 = *self.cores[core].dl1.stats();
         stats.l2 = *self.l2.stats();
         stats
     }
 
-    /// Direct access to the DL1 (inspection in tests / campaigns).
+    /// System-wide coherence counters.
+    #[must_use]
+    pub fn coherence_stats(&self) -> CoherenceStats {
+        self.coherence
+    }
+
+    /// Direct access to core 0's DL1 (inspection in tests / campaigns).
     #[must_use]
     pub fn dl1(&self) -> &Cache {
-        &self.dl1
+        &self.cores[0].dl1
     }
 
     /// Direct access to the L2.
@@ -668,22 +999,28 @@ impl MemorySystem {
         &self.l2
     }
 
-    /// Uncorrectable DL1 errors that hit dirty data (unrecoverable).
+    /// Core 0's uncorrectable DL1 errors that hit dirty data.
     #[must_use]
     pub fn unrecoverable_errors(&self) -> u64 {
-        self.unrecoverable_errors
+        self.cores[0].unrecoverable_errors
     }
 
-    /// Uncorrectable DL1 errors recovered by refetching from the L2.
+    /// Core 0's uncorrectable DL1 errors recovered by refetching.
     #[must_use]
     pub fn recovered_by_refetch(&self) -> u64 {
-        self.recovered_by_refetch
+        self.cores[0].recovered_by_refetch
     }
 
     /// Total bus transactions issued so far.
     #[must_use]
     pub fn bus_transactions(&self) -> u64 {
         self.bus.transactions()
+    }
+
+    /// The main-memory image's checksum (no draining).
+    #[must_use]
+    pub fn memory_checksum(&self) -> u64 {
+        self.memory.checksum()
     }
 }
 

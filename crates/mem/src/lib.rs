@@ -18,7 +18,9 @@
 //!   "stall until completely empty" backpressure,
 //! * [`bus`] — the shared bus with an interference model for unobserved cores,
 //! * [`memory`] — flat main memory,
-//! * [`hierarchy`] — [`MemorySystem`], the per-core façade the pipeline talks to,
+//! * [`hierarchy`] — [`MemorySystem`]: the private DL1s (one on the paper's
+//!   platform, N coherent ones for `laec_smp`) over the shared bus, L2 and
+//!   memory, with the coherence flows that consult the protocol tables,
 //! * [`fault`] — periodic soft-error injection campaigns (single-bit and
 //!   adjacent-bit MBU patterns),
 //! * [`forensics`] — per-fault lifecycle records (strike → latent residency →
@@ -62,8 +64,8 @@ pub mod write_buffer;
 pub use bus::{Bus, BusGrant, Interference};
 pub use cache::{Cache, EvictedLine, ReadHit};
 pub use coherence::{
-    CoherenceProtocol, Dragon, LineState, LocalWriteAction, Mesi, MesiState, Moesi,
-    ParseProtocolError, ProtocolKind, SnoopResult,
+    CoherenceProtocol, Dragon, LineState, LocalWriteAction, Mesi, Moesi, ParseProtocolError,
+    ProtocolKind, SnoopResult,
 };
 pub use config::{AllocatePolicy, CacheConfig, HierarchyConfig, WritePolicy};
 pub use fault::{
@@ -71,9 +73,9 @@ pub use fault::{
     ParseFaultTargetError,
 };
 pub use forensics::{ActivationKind, CellForensics, FaultOutcome, FaultRecord};
-pub use hierarchy::{inject_random_cache_fault, LoadResponse, MemorySystem, StoreResponse};
+pub use hierarchy::{CoreMemory, LoadResponse, MemorySystem, StoreResponse};
 pub use memory::MainMemory;
 pub use port::MemoryPort;
 pub use replay::ReplayMemory;
-pub use stats::{CacheStats, MemStats};
+pub use stats::{CacheStats, CoherenceStats, MemStats};
 pub use write_buffer::{PendingStore, WriteBuffer};

@@ -1,12 +1,11 @@
 //! The memory interface the pipeline drives.
 //!
 //! `laec_pipeline::Simulator` talks to its data memory exclusively through
-//! this trait, so the same pipeline model runs against the uniprocessor
-//! [`MemorySystem`] *and* against one core's
-//! port of the MESI-coherent multi-core hierarchy in `laec_smp` — the
-//! coherent port mirrors the uniprocessor's timing and statistics exactly
-//! when no other core shares the system, which is what makes single-core SMP
-//! campaign reports byte-identical to the uniprocessor engine.
+//! this trait, so the same pipeline model runs against a single-core
+//! [`MemorySystem`] it owns *and* against one core's port of a shared
+//! multi-core [`MemorySystem`] in `laec_smp`.  Both forward to the same
+//! core-indexed access flows, which is what makes single-core SMP campaign
+//! reports byte-identical to the uniprocessor engine.
 
 use laec_ecc::ErrorInjector;
 

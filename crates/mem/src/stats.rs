@@ -146,6 +146,23 @@ pub struct MemStats {
     pub write_buffer_drain_stalls: u64,
 }
 
+/// System-wide coherence-protocol event counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoherenceStats {
+    /// Remote DL1 tag lookups triggered by bus transactions.
+    pub snoop_lookups: u64,
+    /// Copies invalidated by remote write intents (BusRdX/BusUpgr and
+    /// write-through propagation).
+    pub invalidations: u64,
+    /// Dirty lines supplied cache-to-cache (owner → requester).
+    pub interventions: u64,
+    /// Stores to `Shared` lines that had to broadcast an upgrade first.
+    pub upgrades: u64,
+    /// Bus-update payloads delivered into remote copies (Dragon's BusUpd;
+    /// zero under the invalidate-based protocols).
+    pub bus_updates: u64,
+}
+
 impl MemStats {
     /// A zeroed counter set.
     #[must_use]

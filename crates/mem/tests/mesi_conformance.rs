@@ -16,7 +16,7 @@
 //! Plus the deliberate false-sharing kernel: invalidation counts must grow
 //! with the core count even though every final counter value is exact.
 
-use laec_mem::{HierarchyConfig, MesiState};
+use laec_mem::{HierarchyConfig, LineState};
 use laec_pipeline::PipelineConfig;
 use laec_smp::{CoherentMemory, SmpSystem, StopPolicy};
 use laec_workloads::smp::{false_sharing, SHARED_BASE};
@@ -28,18 +28,18 @@ fn two_cores() -> CoherentMemory {
 }
 
 /// Drives core 0's copy of `A` into the requested start state.
-fn reach(memory: &CoherentMemory, state: MesiState) {
+fn reach(memory: &CoherentMemory, state: LineState) {
     memory.preload_word(A, 0xC0DE);
     match state {
-        MesiState::Invalid => {}
-        MesiState::Exclusive => {
+        LineState::Invalid => {}
+        LineState::Exclusive => {
             memory.load(0, A, 0);
         }
-        MesiState::Shared => {
+        LineState::Shared => {
             memory.load(0, A, 0);
             memory.load(1, A, 10);
         }
-        MesiState::Modified => {
+        LineState::Modified => {
             memory.store(0, A, 0xBEEF, 0);
         }
         other => unreachable!("{other:?} is not a MESI state"),
@@ -50,11 +50,11 @@ fn reach(memory: &CoherentMemory, state: MesiState) {
 #[test]
 fn from_invalid_local_read_fills_exclusive_without_sharers() {
     let memory = two_cores();
-    reach(&memory, MesiState::Invalid);
+    reach(&memory, LineState::Invalid);
     let response = memory.load(0, A, 0);
     assert!(!response.dl1_hit);
     assert_eq!(response.value, 0xC0DE);
-    assert_eq!(memory.state(0, A), MesiState::Exclusive);
+    assert_eq!(memory.state(0, A), LineState::Exclusive);
 }
 
 #[test]
@@ -64,19 +64,19 @@ fn from_invalid_local_read_fills_shared_when_a_remote_copy_exists() {
     memory.load(1, A, 0); // remote copy: E in core 1
     let response = memory.load(0, A, 10);
     assert_eq!(response.value, 0xC0DE);
-    assert_eq!(memory.state(0, A), MesiState::Shared);
-    assert_eq!(memory.state(1, A), MesiState::Shared, "remote E downgraded");
+    assert_eq!(memory.state(0, A), LineState::Shared);
+    assert_eq!(memory.state(1, A), LineState::Shared, "remote E downgraded");
 }
 
 #[test]
 fn from_invalid_local_read_of_a_remote_modified_line_takes_the_intervention() {
     let memory = two_cores();
     memory.store(1, A, 0xFACE, 0); // M in core 1, memory stale
-    assert_eq!(memory.state(1, A), MesiState::Modified);
+    assert_eq!(memory.state(1, A), LineState::Modified);
     let response = memory.load(0, A, 10);
     assert_eq!(response.value, 0xFACE, "the dirty owner supplied the line");
-    assert_eq!(memory.state(0, A), MesiState::Shared);
-    assert_eq!(memory.state(1, A), MesiState::Shared);
+    assert_eq!(memory.state(0, A), LineState::Shared);
+    assert_eq!(memory.state(1, A), LineState::Shared);
     assert_eq!(memory.coherence_stats().interventions, 1);
 }
 
@@ -86,23 +86,23 @@ fn from_invalid_local_write_allocates_modified_and_invalidates_remotes() {
     memory.preload_word(A, 0xC0DE);
     memory.load(1, A, 0); // remote copy
     memory.store(0, A, 7, 10);
-    assert_eq!(memory.state(0, A), MesiState::Modified);
-    assert_eq!(memory.state(1, A), MesiState::Invalid, "RdX invalidates");
+    assert_eq!(memory.state(0, A), LineState::Modified);
+    assert_eq!(memory.state(1, A), LineState::Invalid, "RdX invalidates");
     assert_eq!(memory.coherence_stats().invalidations, 1);
 }
 
 #[test]
 fn from_shared_local_read_stays_shared() {
     let memory = two_cores();
-    reach(&memory, MesiState::Shared);
+    reach(&memory, LineState::Shared);
     assert!(memory.load(0, A, 20).dl1_hit);
-    assert_eq!(memory.state(0, A), MesiState::Shared);
+    assert_eq!(memory.state(0, A), LineState::Shared);
 }
 
 #[test]
 fn from_shared_local_write_upgrades_to_modified() {
     let memory = two_cores();
-    reach(&memory, MesiState::Shared);
+    reach(&memory, LineState::Shared);
     let before = memory.coherence_stats();
     let response = memory.store(0, A, 9, 20);
     assert!(response.dl1_hit);
@@ -111,8 +111,8 @@ fn from_shared_local_write_upgrades_to_modified() {
         "a BusUpgr broadcast is not free ({} cycles)",
         response.extra_cycles
     );
-    assert_eq!(memory.state(0, A), MesiState::Modified);
-    assert_eq!(memory.state(1, A), MesiState::Invalid);
+    assert_eq!(memory.state(0, A), LineState::Modified);
+    assert_eq!(memory.state(1, A), LineState::Invalid);
     let after = memory.coherence_stats();
     assert_eq!(after.upgrades, before.upgrades + 1);
     assert_eq!(after.invalidations, before.invalidations + 1);
@@ -121,107 +121,107 @@ fn from_shared_local_write_upgrades_to_modified() {
 #[test]
 fn from_shared_remote_read_stays_shared() {
     let memory = two_cores();
-    reach(&memory, MesiState::Shared);
+    reach(&memory, LineState::Shared);
     memory.load(1, A, 20);
-    assert_eq!(memory.state(0, A), MesiState::Shared);
-    assert_eq!(memory.state(1, A), MesiState::Shared);
+    assert_eq!(memory.state(0, A), LineState::Shared);
+    assert_eq!(memory.state(1, A), LineState::Shared);
 }
 
 #[test]
 fn from_shared_remote_write_invalidates() {
     let memory = two_cores();
-    reach(&memory, MesiState::Shared);
+    reach(&memory, LineState::Shared);
     memory.store(1, A, 5, 20);
-    assert_eq!(memory.state(0, A), MesiState::Invalid);
-    assert_eq!(memory.state(1, A), MesiState::Modified);
+    assert_eq!(memory.state(0, A), LineState::Invalid);
+    assert_eq!(memory.state(1, A), LineState::Modified);
 }
 
 #[test]
 fn from_shared_eviction_is_silent() {
     let memory = two_cores();
-    reach(&memory, MesiState::Shared);
+    reach(&memory, LineState::Shared);
     memory.evict(0, A, 100);
-    assert_eq!(memory.state(0, A), MesiState::Invalid);
+    assert_eq!(memory.state(0, A), LineState::Invalid);
     // The other copy is untouched and the data intact.
-    assert_eq!(memory.state(1, A), MesiState::Shared);
+    assert_eq!(memory.state(1, A), LineState::Shared);
     assert_eq!(memory.load(1, A, 200).value, 0xC0DE);
 }
 
 #[test]
 fn from_exclusive_local_read_stays_exclusive() {
     let memory = two_cores();
-    reach(&memory, MesiState::Exclusive);
+    reach(&memory, LineState::Exclusive);
     assert!(memory.load(0, A, 20).dl1_hit);
-    assert_eq!(memory.state(0, A), MesiState::Exclusive);
+    assert_eq!(memory.state(0, A), LineState::Exclusive);
 }
 
 #[test]
 fn from_exclusive_local_write_goes_modified_silently() {
     let memory = two_cores();
-    reach(&memory, MesiState::Exclusive);
+    reach(&memory, LineState::Exclusive);
     let bus_before = memory.core_stats(0).bus_transactions;
     let response = memory.store(0, A, 3, 20);
     assert!(response.dl1_hit);
     assert_eq!(response.extra_cycles, 0, "E→M needs no bus transaction");
     assert_eq!(memory.core_stats(0).bus_transactions, bus_before);
-    assert_eq!(memory.state(0, A), MesiState::Modified);
+    assert_eq!(memory.state(0, A), LineState::Modified);
 }
 
 #[test]
 fn from_exclusive_remote_read_downgrades_to_shared() {
     let memory = two_cores();
-    reach(&memory, MesiState::Exclusive);
+    reach(&memory, LineState::Exclusive);
     memory.load(1, A, 20);
-    assert_eq!(memory.state(0, A), MesiState::Shared);
-    assert_eq!(memory.state(1, A), MesiState::Shared);
+    assert_eq!(memory.state(0, A), LineState::Shared);
+    assert_eq!(memory.state(1, A), LineState::Shared);
 }
 
 #[test]
 fn from_exclusive_remote_write_invalidates() {
     let memory = two_cores();
-    reach(&memory, MesiState::Exclusive);
+    reach(&memory, LineState::Exclusive);
     memory.store(1, A, 5, 20);
-    assert_eq!(memory.state(0, A), MesiState::Invalid);
-    assert_eq!(memory.state(1, A), MesiState::Modified);
+    assert_eq!(memory.state(0, A), LineState::Invalid);
+    assert_eq!(memory.state(1, A), LineState::Modified);
 }
 
 #[test]
 fn from_exclusive_eviction_is_silent() {
     let memory = two_cores();
-    reach(&memory, MesiState::Exclusive);
+    reach(&memory, LineState::Exclusive);
     memory.evict(0, A, 100);
-    assert_eq!(memory.state(0, A), MesiState::Invalid);
+    assert_eq!(memory.state(0, A), LineState::Invalid);
     assert_eq!(memory.load(1, A, 200).value, 0xC0DE, "clean data survives");
 }
 
 #[test]
 fn from_modified_local_accesses_stay_modified() {
     let memory = two_cores();
-    reach(&memory, MesiState::Modified);
+    reach(&memory, LineState::Modified);
     assert!(memory.load(0, A, 20).dl1_hit);
-    assert_eq!(memory.state(0, A), MesiState::Modified);
+    assert_eq!(memory.state(0, A), LineState::Modified);
     memory.store(0, A, 0xAAAA, 30);
-    assert_eq!(memory.state(0, A), MesiState::Modified);
+    assert_eq!(memory.state(0, A), LineState::Modified);
 }
 
 #[test]
 fn from_modified_remote_read_supplies_and_shares() {
     let memory = two_cores();
-    reach(&memory, MesiState::Modified);
+    reach(&memory, LineState::Modified);
     let response = memory.load(1, A, 20);
     assert_eq!(response.value, 0xBEEF, "intervention forwards dirty data");
-    assert_eq!(memory.state(0, A), MesiState::Shared);
-    assert_eq!(memory.state(1, A), MesiState::Shared);
+    assert_eq!(memory.state(0, A), LineState::Shared);
+    assert_eq!(memory.state(1, A), LineState::Shared);
     assert_eq!(memory.coherence_stats().interventions, 1);
 }
 
 #[test]
 fn from_modified_remote_write_supplies_and_invalidates() {
     let memory = two_cores();
-    reach(&memory, MesiState::Modified);
+    reach(&memory, LineState::Modified);
     memory.store(1, A, 0x5555, 20);
-    assert_eq!(memory.state(0, A), MesiState::Invalid);
-    assert_eq!(memory.state(1, A), MesiState::Modified);
+    assert_eq!(memory.state(0, A), LineState::Invalid);
+    assert_eq!(memory.state(1, A), LineState::Modified);
     assert_eq!(memory.coherence_stats().interventions, 1);
     assert_eq!(memory.coherence_stats().invalidations, 1);
     // The newest value is the remote writer's.
@@ -231,9 +231,9 @@ fn from_modified_remote_write_supplies_and_invalidates() {
 #[test]
 fn from_modified_eviction_writes_back() {
     let memory = two_cores();
-    reach(&memory, MesiState::Modified);
+    reach(&memory, LineState::Modified);
     memory.evict(0, A, 100);
-    assert_eq!(memory.state(0, A), MesiState::Invalid);
+    assert_eq!(memory.state(0, A), LineState::Invalid);
     // The dirty value survived below (L2) and a fresh load sees it.
     assert_eq!(memory.load(1, A, 200).value, 0xBEEF);
 }

@@ -10,11 +10,12 @@
 //! axis: the [`laec_mem::CoherenceProtocol`] decision table (MESI by
 //! default; Dragon and MOESI via [`SmpSystem::with_protocol`]).
 //!
-//! * [`memory`] — [`CoherentMemory`]: per-core DL1s with coherence states,
-//!   the snoop machinery (downgrades, invalidations, dirty interventions,
-//!   Dragon bus updates), per-core statistics and coherence counters.  Each
-//!   core's [`CorePort`] implements `laec_mem::MemoryPort` and mirrors the
-//!   uniprocessor `MemorySystem` exactly when no other core exists —
+//! * [`memory`] — [`CoherentMemory`]: the shared handle on one multi-core
+//!   `laec_mem::MemorySystem`, which owns the per-core DL1s, the snoop
+//!   machinery (downgrades, invalidations, dirty interventions, Dragon bus
+//!   updates), per-core statistics and coherence counters.  Each core's
+//!   [`CorePort`] implements `laec_mem::MemoryPort` by forwarding to that
+//!   system's core-indexed flows — the flows a uniprocessor runs, so
 //!   single-core SMP campaign reports are byte-identical to the
 //!   uniprocessor engine's, under every protocol.
 //! * [`system`] — [`SmpSystem`]: one pipeline per core, advanced by a
@@ -51,5 +52,5 @@
 pub mod memory;
 pub mod system;
 
-pub use memory::{CoherenceStats, CoherentMemory, CorePort};
+pub use memory::{CoherentMemory, CorePort};
 pub use system::{SmpRunResult, SmpSystem, StopPolicy};

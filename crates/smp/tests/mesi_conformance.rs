@@ -1,9 +1,8 @@
-//! CI-stable entry point for the MESI conformance suite.
+//! The MESI conformance suite, also run as a `laec-smp` test target.
 //!
-//! The suite itself moved to `crates/mem/tests/mesi_conformance.rs` when the
-//! protocol decision tables became part of `laec_mem` (alongside the Dragon
-//! and MOESI suites); this shim keeps `cargo test -p laec-smp --test
-//! mesi_conformance` — the historical CI step name — running the same tests.
+//! The suite lives in `crates/mem/tests/mesi_conformance.rs` next to the
+//! Dragon and MOESI suites; this entry point keeps
+//! `cargo test -p laec-smp --test mesi_conformance` running the same tests.
 
 #[path = "../../mem/tests/mesi_conformance.rs"]
 mod suite;
