@@ -663,7 +663,8 @@ pub(crate) fn execute_grid(
 }
 
 /// Executes `count` jobs on a scoped worker pool (one shared cursor, one
-/// pre-allocated slot per job), preserving index order in the result.
+/// pre-allocated slot per job), preserving index order in the result.  The
+/// calling thread is one of the workers, so a one-thread pool spawns none.
 pub(crate) fn run_pool<T, F>(count: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,
@@ -671,19 +672,21 @@ where
 {
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    thread::scope(|scope| {
-        for _ in 0..threads.min(count).max(1) {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= count {
-                    break;
-                }
-                let result = job(index);
-                *slots[index]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-            });
+    let worker = || loop {
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        if index >= count {
+            break;
         }
+        let result = job(index);
+        *slots[index]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
+    };
+    thread::scope(|scope| {
+        for _ in 1..threads.min(count) {
+            scope.spawn(worker);
+        }
+        worker();
     });
     slots
         .into_iter()

@@ -32,12 +32,14 @@ pub struct Hsiao {
     columns: Vec<u64>,
     /// For syndrome lookup: sorted `(column, data_bit)` pairs.
     by_column: Vec<(u64, u32)>,
-    /// Bit-sliced view of the parity-check matrix: `row_masks[j]` selects the
-    /// data bits feeding check bit `j`, so the encoder is `check_bits` many
-    /// AND+popcount steps instead of a `data_bits`-iteration column walk.
-    /// This is the hot path of every cache read (syndrome) and write
-    /// (re-encode) in the simulator.
-    row_masks: Vec<u64>,
+    /// The encoder as one lookup table per data byte.  The code is linear,
+    /// so the check bits of a word are the XOR of the columns of its set
+    /// bits; `byte_checks[k][b]` is that XOR for byte value `b` in byte
+    /// position `k`.  Encoding (and so every syndrome) is one lookup and one
+    /// XOR per data byte — the hot path of every cache read, write and fill
+    /// in the simulator.  Check bits fit a `u16` because `new` caps them
+    /// at 16.
+    byte_checks: Vec<[u16; 256]>,
 }
 
 impl Hsiao {
@@ -64,13 +66,19 @@ impl Hsiao {
             .map(|(i, &c)| (c, i as u32))
             .collect();
         by_column.sort_unstable();
-        let row_masks = (0..check_bits)
-            .map(|j| {
-                columns
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &column)| column & (1u64 << j) != 0)
-                    .fold(0u64, |row, (i, _)| row | (1u64 << i))
+        let byte_checks = columns
+            .chunks(8)
+            .map(|byte_columns| {
+                let mut table = [0u16; 256];
+                for (value, check) in table.iter_mut().enumerate() {
+                    for (bit, &column) in byte_columns.iter().enumerate() {
+                        if value & (1 << bit) != 0 {
+                            // Columns are below `1 << check_bits` ≤ 2^16.
+                            *check ^= column as u16;
+                        }
+                    }
+                }
+                table
             })
             .collect();
         Ok(Hsiao {
@@ -78,7 +86,7 @@ impl Hsiao {
             check_bits,
             columns,
             by_column,
-            row_masks,
+            byte_checks,
         })
     }
 
@@ -155,12 +163,14 @@ impl EccCode for Hsiao {
 
     fn encode(&self, data: u64) -> u64 {
         let data = data & self.data_mask();
-        self.row_masks
+        let check = self
+            .byte_checks
             .iter()
-            .enumerate()
-            .fold(0u64, |check, (j, &row)| {
-                check | (u64::from((data & row).count_ones() & 1) << j)
-            })
+            .zip(data.to_le_bytes())
+            .fold(0u16, |check, (table, byte)| {
+                check ^ table[usize::from(byte)]
+            });
+        u64::from(check)
     }
 
     fn decode(&self, data: u64, check: u64) -> Decoded {
@@ -336,6 +346,65 @@ mod tests {
             0xA5A5_A5A5_5A5A_5A5A,
             0x1234_5678_9ABC_DEF0,
         ]
+    }
+
+    /// The row-mask encoder the byte tables replaced, kept only as a test
+    /// oracle: `row_masks[j]` selects the data bits whose columns include
+    /// check bit `j`, and check bit `j` is the parity of `data & row_masks[j]`.
+    /// It reads the code only through [`Hsiao::column`], so it shares nothing
+    /// with the tables.
+    fn row_masks(code: &Hsiao) -> Vec<u64> {
+        (0..code.check_bits())
+            .map(|j| {
+                (0..code.data_bits())
+                    .filter(|&i| code.column(i) & (1 << j) != 0)
+                    .fold(0u64, |row, i| row | (1u64 << i))
+            })
+            .collect()
+    }
+
+    fn row_mask_encode(row_masks: &[u64], data: u64) -> u64 {
+        row_masks.iter().enumerate().fold(0u64, |check, (j, &row)| {
+            check | (u64::from((data & row).count_ones() & 1) << j)
+        })
+    }
+
+    #[test]
+    fn table_encoder_matches_the_row_mask_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+
+        for (data_bits, check_bits) in [(32u32, 7u32), (64, 8)] {
+            let code = Hsiao::new(data_bits, check_bits).unwrap();
+            let rows = row_masks(&code);
+            let data_mask = code.data_mask();
+            let mut words: Vec<u64> = Vec::new();
+            for a in 0..data_bits {
+                words.push(1 << a);
+                words.extend((a + 1..data_bits).map(|b| (1u64 << a) | (1u64 << b)));
+            }
+            let mut rng = StdRng::seed_from_u64(0x0EC0_DE00 + u64::from(data_bits));
+            words.extend((0..100_000).map(|_| rng.next_u64() & data_mask));
+            for &word in &words {
+                let check = code.encode(word);
+                assert_eq!(
+                    check,
+                    row_mask_encode(&rows, word),
+                    "({}, {data_bits}) word {word:#x}",
+                    data_bits + check_bits
+                );
+                for bit in 0..data_bits {
+                    let decoded = code.decode(word ^ (1 << bit), check);
+                    assert_eq!(decoded.outcome, Outcome::CorrectedSingle { bit });
+                    assert_eq!(decoded.data, word);
+                }
+                for bit in 0..check_bits {
+                    let decoded = code.decode(word, check ^ (1 << bit));
+                    assert_eq!(decoded.outcome, Outcome::CorrectedCheckBit { bit });
+                    assert_eq!(decoded.data, word);
+                }
+            }
+        }
     }
 
     #[test]

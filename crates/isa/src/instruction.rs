@@ -162,6 +162,59 @@ impl fmt::Display for Operand {
     }
 }
 
+/// The source registers of one instruction: at most two, in operand order,
+/// without `r0` and without duplicates.  A `Copy` value, so the per-instruction
+/// hazard checks never allocate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RegSet {
+    /// Members in `regs[..len]`; the unused slot holds `r0`.
+    regs: [Reg; 2],
+    len: u8,
+}
+
+impl RegSet {
+    /// The empty set.
+    pub const EMPTY: RegSet = RegSet {
+        regs: [Reg::ZERO; 2],
+        len: 0,
+    };
+
+    /// The set of `first` and `second`, dropping `r0` and a repeat.
+    fn of(first: Reg, second: Reg) -> Self {
+        let mut set = RegSet::EMPTY;
+        for reg in [first, second] {
+            if !reg.is_zero() && !set.contains(&reg) {
+                set.regs[usize::from(set.len)] = reg;
+                set.len += 1;
+            }
+        }
+        set
+    }
+
+    /// The members, in operand order.
+    #[must_use]
+    pub fn as_slice(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+
+    /// Iterator over the members, in operand order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Reg> {
+        self.as_slice().iter()
+    }
+
+    /// `true` if `reg` is a member.
+    #[must_use]
+    pub fn contains(&self, reg: &Reg) -> bool {
+        self.as_slice().contains(reg)
+    }
+
+    /// `true` if the set has no member.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// One machine instruction.
 ///
 /// Branch/jump targets are *instruction indices* into the owning
@@ -252,36 +305,20 @@ impl Instruction {
     /// Source registers read by this instruction (up to two; `r0` excluded
     /// because it never creates a dependence).
     #[must_use]
-    pub fn uses(&self) -> Vec<Reg> {
-        let mut used = Vec::with_capacity(2);
-        let mut push = |reg: Reg| {
-            if !reg.is_zero() && !used.contains(&reg) {
-                used.push(reg);
-            }
-        };
+    pub fn uses(&self) -> RegSet {
         match *self {
             Instruction::Alu { rs1, operand, .. } => {
-                push(rs1);
-                if let Operand::Reg(rs2) = operand {
-                    push(rs2);
-                }
+                RegSet::of(rs1, operand.as_reg().unwrap_or(Reg::ZERO))
             }
-            Instruction::Load { base, .. } => push(base),
-            Instruction::Store { src, base, .. } => {
-                push(src);
-                push(base);
-            }
-            Instruction::Branch { rs1, rs2, .. } => {
-                push(rs1);
-                push(rs2);
-            }
-            Instruction::JumpReg { target } => push(target),
+            Instruction::Load { base, .. } => RegSet::of(base, Reg::ZERO),
+            Instruction::Store { src, base, .. } => RegSet::of(src, base),
+            Instruction::Branch { rs1, rs2, .. } => RegSet::of(rs1, rs2),
+            Instruction::JumpReg { target } => RegSet::of(target, Reg::ZERO),
             Instruction::Jump { .. }
             | Instruction::Call { .. }
             | Instruction::Nop
-            | Instruction::Halt => {}
+            | Instruction::Halt => RegSet::EMPTY,
         }
-        used
     }
 
     /// Registers used to form a memory *address* (the load/store base).
@@ -290,16 +327,12 @@ impl Instruction {
     /// the address registers of the load: the loaded-value consumer hazard is
     /// handled separately by the pipeline's bypass/stall logic.
     #[must_use]
-    pub fn address_uses(&self) -> Vec<Reg> {
+    pub fn address_uses(&self) -> RegSet {
         match *self {
             Instruction::Load { base, .. } | Instruction::Store { base, .. } => {
-                if base.is_zero() {
-                    Vec::new()
-                } else {
-                    vec![base]
-                }
+                RegSet::of(base, Reg::ZERO)
             }
-            _ => Vec::new(),
+            _ => RegSet::EMPTY,
         }
     }
 
@@ -438,14 +471,14 @@ mod tests {
             operand: Operand::Reg(reg(2)),
         };
         assert_eq!(add.def(), Some(reg(3)));
-        assert_eq!(add.uses(), vec![reg(1), reg(2)]);
+        assert_eq!(add.uses().as_slice(), [reg(1), reg(2)]);
         let addi = Instruction::Alu {
             op: AluOp::Add,
             rd: reg(3),
             rs1: reg(1),
             operand: Operand::Imm(5),
         };
-        assert_eq!(addi.uses(), vec![reg(1)]);
+        assert_eq!(addi.uses().as_slice(), [reg(1)]);
     }
 
     #[test]
@@ -475,14 +508,53 @@ mod tests {
             rs1: reg(4),
             operand: Operand::Reg(reg(4)),
         };
-        assert_eq!(add.uses(), vec![reg(4)]);
+        assert_eq!(add.uses().as_slice(), [reg(4)]);
         let st = Instruction::Store {
             width: MemWidth::Word,
             src: reg(7),
             base: reg(7),
             offset: 0,
         };
-        assert_eq!(st.uses(), vec![reg(7)]);
+        assert_eq!(st.uses().as_slice(), [reg(7)]);
+    }
+
+    #[test]
+    fn register_sets_drop_r0_and_repeats_in_every_operand_position() {
+        let st_same = Instruction::Store {
+            width: MemWidth::Byte,
+            src: reg(9),
+            base: reg(9),
+            offset: 4,
+        };
+        assert_eq!(st_same.uses().as_slice(), [reg(9)]);
+        assert_eq!(st_same.address_uses().as_slice(), [reg(9)]);
+        let st_zero_src = Instruction::Store {
+            width: MemWidth::Word,
+            src: Reg::ZERO,
+            base: reg(3),
+            offset: 0,
+        };
+        assert_eq!(st_zero_src.uses().as_slice(), [reg(3)]);
+        let st_zero_base = Instruction::Store {
+            width: MemWidth::Word,
+            src: reg(2),
+            base: Reg::ZERO,
+            offset: 64,
+        };
+        assert_eq!(st_zero_base.uses().as_slice(), [reg(2)]);
+        assert!(st_zero_base.address_uses().is_empty());
+        let br_zero = Instruction::Branch {
+            cond: Cond::Ne,
+            rs1: Reg::ZERO,
+            rs2: reg(5),
+            target: 0,
+        };
+        let uses = br_zero.uses();
+        assert_eq!(uses.as_slice(), [reg(5)]);
+        assert!(uses.contains(&reg(5)) && !uses.contains(&Reg::ZERO));
+        assert_eq!(uses.iter().collect::<Vec<_>>(), [&reg(5)]);
+        assert!(Instruction::Nop.uses().is_empty());
+        assert_eq!(Instruction::Halt.uses(), RegSet::EMPTY);
     }
 
     #[test]
@@ -495,7 +567,7 @@ mod tests {
         };
         assert!(ld.is_load() && ld.is_mem() && !ld.is_store());
         assert_eq!(ld.def(), Some(reg(5)));
-        assert_eq!(ld.address_uses(), vec![reg(6)]);
+        assert_eq!(ld.address_uses().as_slice(), [reg(6)]);
         let st = Instruction::Store {
             width: MemWidth::Half,
             src: reg(2),
@@ -504,7 +576,7 @@ mod tests {
         };
         assert!(st.is_store() && st.is_mem() && !st.is_load());
         assert_eq!(st.def(), None);
-        assert_eq!(st.uses(), vec![reg(2), reg(3)]);
+        assert_eq!(st.uses().as_slice(), [reg(2), reg(3)]);
     }
 
     #[test]
@@ -517,7 +589,7 @@ mod tests {
         };
         assert!(br.is_control());
         assert_eq!(br.def(), None);
-        assert_eq!(br.uses(), vec![reg(1), reg(2)]);
+        assert_eq!(br.uses().as_slice(), [reg(1), reg(2)]);
         let call = Instruction::Call {
             target: 4,
             link: reg(31),
@@ -525,7 +597,7 @@ mod tests {
         assert!(call.is_control());
         assert_eq!(call.def(), Some(reg(31)));
         let jr = Instruction::JumpReg { target: reg(31) };
-        assert_eq!(jr.uses(), vec![reg(31)]);
+        assert_eq!(jr.uses().as_slice(), [reg(31)]);
         assert!(Instruction::Jump { target: 0 }.is_control());
         assert!(!Instruction::Nop.is_control());
         assert!(Instruction::Halt.is_halt());

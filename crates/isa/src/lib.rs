@@ -53,7 +53,7 @@ pub mod semantics;
 
 pub use assembler::AssembleError;
 pub use encoding::{decode, encode, DecodeError};
-pub use instruction::{AluOp, Cond, Instruction, MemWidth, Operand};
+pub use instruction::{AluOp, Cond, Instruction, MemWidth, Operand, RegSet};
 pub use program::{Program, ProgramBuilder};
 pub use reg::{Reg, RegisterFile, NUM_REGS};
 pub use semantics::{eval_alu, eval_cond, sign_extend};

@@ -62,6 +62,25 @@ impl Line {
             self.words[word].decode(code)
         }
     }
+
+    /// `true` if any word holds an error the code cannot correct.
+    fn has_uncorrectable(&self, code: &(dyn EccCode + Send + Sync)) -> bool {
+        (0..self.words.len()).any(|word| !self.decode_word(word, code).outcome.is_usable())
+    }
+
+    /// The line's words after correction where possible, and whether any
+    /// word held an uncorrectable error.
+    fn decoded_words(&self, code: &(dyn EccCode + Send + Sync)) -> (Vec<u32>, bool) {
+        let mut uncorrectable = false;
+        let words = (0..self.words.len())
+            .map(|word| {
+                let decoded = self.decode_word(word, code);
+                uncorrectable |= !decoded.outcome.is_usable();
+                decoded.data as u32
+            })
+            .collect();
+        (words, uncorrectable)
+    }
 }
 
 /// Result of a cache word read that hit.
@@ -461,44 +480,48 @@ impl Cache {
         self.write_word_masked(address, value, 0xF)
     }
 
-    /// Reads `count` consecutive words starting at the line-aligned `base`,
-    /// all within one line — the refill fast path.  Statistics, LRU state
-    /// and scrubbing end up exactly as `count` calls to
-    /// [`Cache::read_word`] would leave them, but the tag is matched once.
-    /// Returns `None` (nothing recorded) when the line is not resident or
+    /// Reads `out.len()` consecutive words starting at the line-aligned
+    /// `base` into `out`, all within one line — the refill fast path.
+    /// Statistics, LRU state and scrubbing end up exactly as that many calls
+    /// to [`Cache::read_word`] would leave them, but the tag is matched once.
+    /// Returns `false` (nothing recorded) when the line is not resident or
     /// the request extends past it (a caller line larger than ours); the
     /// caller falls back to per-word reads.
-    pub fn read_line_words(&mut self, base: u32, count: u32) -> Option<Vec<u32>> {
-        let way = self.find_way(base)?;
+    pub fn read_line_words(&mut self, base: u32, out: &mut [u32]) -> bool {
+        let Some(way) = self.find_way(base) else {
+            return false;
+        };
         let set = self.set_index(base);
         let first = self.word_index(base);
-        if first + count as usize > self.config.words_per_line() as usize {
-            return None;
+        if first + out.len() > self.config.words_per_line() as usize {
+            return false;
         }
-        self.access_counter += u64::from(count);
-        self.stats.read_hits += u64::from(count);
+        let count = out.len() as u64;
+        self.access_counter += count;
+        self.stats.read_hits += count;
         let counter = self.access_counter;
         let code = self.code.as_ref();
         let index = set * self.ways() + way;
         let line = &mut self.lines[index];
         line.last_used = counter;
-        let mut out = Vec::with_capacity(count as usize);
-        for word in first..first + count as usize {
+        for (word, value) in (first..).zip(out.iter_mut()) {
             let decoded = line.decode_word(word, code);
             self.stats.ecc.record(decoded.outcome);
             if decoded.outcome.is_corrected() {
                 line.words[word] = Codeword::encode(code, decoded.data);
                 line.pristine |= 1u64 << word;
             }
-            out.push(decoded.data as u32);
+            *value = decoded.data as u32;
         }
-        Some(out)
+        true
     }
 
     /// Fills the line containing `address` with `line_words` (one entry per
     /// 32-bit word of the line), evicting the LRU way if necessary.
     ///
-    /// Returns the evicted line when one had to be displaced.
+    /// Returns the displaced line when the caller must act on it: it was
+    /// dirty, or a word held an uncorrectable error.  A clean victim is
+    /// dropped (still counted in [`CacheStats::evictions`]).
     ///
     /// # Panics
     ///
@@ -535,33 +558,24 @@ impl Cache {
         };
 
         let index = set * self.ways() + way;
-        let evicted = {
-            let line = &self.lines[index];
-            if line.state.is_valid() {
-                let base = self.reconstruct_base(set, line.tag);
-                let mut words = Vec::with_capacity(line.words.len());
-                let mut uncorrectable = false;
-                for word in 0..line.words.len() {
-                    let decoded = line.decode_word(word, self.code.as_ref());
-                    if !decoded.outcome.is_usable() {
-                        uncorrectable = true;
-                    }
-                    words.push(decoded.data as u32);
-                }
-                Some(EvictedLine {
-                    base_address: base,
-                    words,
-                    dirty: line.state.is_dirty(),
-                    uncorrectable,
-                })
-            } else {
-                None
-            }
-        };
-        if let Some(evicted) = &evicted {
+        let victim = &self.lines[index];
+        let mut evicted = None;
+        if victim.state.is_valid() {
             self.stats.evictions += 1;
-            if evicted.dirty {
+            let dirty = victim.state.is_dirty();
+            if dirty {
                 self.stats.writebacks += 1;
+            }
+            // Only a victim the caller must act on is decoded into an
+            // `EvictedLine`: a clean, correctable one is simply dropped.
+            if dirty || victim.has_uncorrectable(self.code.as_ref()) {
+                let (words, uncorrectable) = victim.decoded_words(self.code.as_ref());
+                evicted = Some(EvictedLine {
+                    base_address: self.reconstruct_base(set, victim.tag),
+                    words,
+                    dirty,
+                    uncorrectable,
+                });
             }
         }
         if !self.corrupted.is_empty() {
@@ -582,7 +596,7 @@ impl Cache {
                 .map(|&value| Codeword::encode(code, u64::from(value))),
         );
         line.pristine = pristine_mask(line.words.len());
-        evicted.filter(|e| e.dirty || e.uncorrectable)
+        evicted
     }
 
     /// Invalidates the line containing `address` (no writeback), returning
@@ -697,16 +711,9 @@ impl Cache {
         let mut supplied = None;
         let mut uncorrectable = false;
         if was_modified {
-            let line = &self.lines[index];
-            let mut words = Vec::with_capacity(line.words.len());
-            for word in 0..line.words.len() {
-                let decoded = line.decode_word(word, self.code.as_ref());
-                if !decoded.outcome.is_usable() {
-                    uncorrectable = true;
-                }
-                words.push(decoded.data as u32);
-            }
+            let (words, any_uncorrectable) = self.lines[index].decoded_words(self.code.as_ref());
             supplied = Some(words);
+            uncorrectable = any_uncorrectable;
         }
         if invalidate {
             if !self.corrupted.is_empty() {
@@ -969,15 +976,8 @@ impl Cache {
                 };
                 if dirty {
                     let base = self.reconstruct_base(set_index, tag);
-                    let mut words = Vec::with_capacity(self.config.words_per_line() as usize);
-                    let mut uncorrectable = false;
-                    for word in 0..self.lines[index].words.len() {
-                        let decoded = self.lines[index].decode_word(word, self.code.as_ref());
-                        if !decoded.outcome.is_usable() {
-                            uncorrectable = true;
-                        }
-                        words.push(decoded.data as u32);
-                    }
+                    let (words, uncorrectable) =
+                        self.lines[index].decoded_words(self.code.as_ref());
                     self.lines[index].state = LineState::Exclusive;
                     self.stats.writebacks += 1;
                     out.push(EvictedLine {
@@ -1248,18 +1248,36 @@ mod tests {
         serial.fill(0x100, &line(7));
         batched.inject_fault(0x104, &FlipPlan::single_data(3));
         serial.inject_fault(0x104, &FlipPlan::single_data(3));
-        let words = batched.read_line_words(0x100, 4).expect("resident");
+        let mut words = [0; 4];
+        assert!(batched.read_line_words(0x100, &mut words), "resident");
         let per_word: Vec<u32> = (0..4)
             .map(|i| serial.read_word(0x100 + 4 * i).unwrap().value)
             .collect();
-        assert_eq!(words, per_word);
+        assert_eq!(words[..], per_word[..]);
         assert_eq!(batched.stats(), serial.stats(), "identical counters");
         // A request larger than the line (a caller with bigger lines than
         // ours) must fall back, not index out of bounds.
         let stats_before = *batched.stats();
-        assert_eq!(batched.read_line_words(0x100, 8), None);
-        assert_eq!(batched.read_line_words(0x108, 4), None, "past the end");
+        assert!(!batched.read_line_words(0x100, &mut [0; 8]));
+        assert!(!batched.read_line_words(0x108, &mut words), "past the end");
         assert_eq!(*batched.stats(), stats_before, "nothing recorded");
-        assert_eq!(batched.read_line_words(0x400, 4), None, "not resident");
+        assert!(!batched.read_line_words(0x400, &mut words), "not resident");
+    }
+
+    #[test]
+    fn clean_victims_are_counted_but_not_returned() {
+        let mut cache = Cache::new(small_config());
+        cache.fill(0x00, &line(1));
+        cache.fill(0x20, &line(2));
+        assert_eq!(cache.fill(0x40, &line(3)), None, "clean victim dropped");
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.stats().writebacks, 0);
+        // A clean victim holding an uncorrectable word is still reported.
+        assert!(cache.inject_fault(0x24, &FlipPlan::double_data(0, 1)));
+        let evicted = cache.fill(0x60, &line(4)).expect("uncorrectable victim");
+        assert!(evicted.uncorrectable && !evicted.dirty);
+        assert_eq!(evicted.base_address, 0x20);
+        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(cache.stats().writebacks, 0);
     }
 }

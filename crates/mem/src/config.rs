@@ -25,6 +25,11 @@ pub enum AllocatePolicy {
     NoWriteAllocate,
 }
 
+/// Most 32-bit words one cache line holds.  [`CacheConfig::validate`] caps
+/// lines at this size, so every line transfer fits a stack buffer of this
+/// many words.
+pub(crate) const MAX_LINE_WORDS: usize = 64;
+
 /// Geometry, policies and protection of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -127,12 +132,14 @@ impl CacheConfig {
                 self.line_bytes
             ));
         }
-        if self.line_bytes > 256 {
-            // The per-line pristine-word bitmask in `cache::Line` covers at
-            // most 64 words; real embedded caches stay well under this.
+        if self.line_bytes as usize > 4 * MAX_LINE_WORDS {
+            // The per-line pristine-word bitmask in `cache::Line` and the
+            // hierarchy's stack line buffers cover at most 64 words; real
+            // embedded caches stay well under this.
             return Err(format!(
-                "line size {} exceeds the supported maximum of 256 bytes",
-                self.line_bytes
+                "line size {} exceeds the supported maximum of {} bytes",
+                self.line_bytes,
+                4 * MAX_LINE_WORDS
             ));
         }
         if self.ways == 0 {

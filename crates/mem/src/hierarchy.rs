@@ -42,7 +42,7 @@ use laec_trace::{MemLevel, TraceSink};
 use crate::bus::{Bus, BusGrant, Interference};
 use crate::cache::{Cache, EvictedLine};
 use crate::coherence::{LineState, LocalWriteAction, ProtocolKind};
-use crate::config::{AllocatePolicy, HierarchyConfig, WritePolicy};
+use crate::config::{AllocatePolicy, HierarchyConfig, WritePolicy, MAX_LINE_WORDS};
 use crate::fault::{FaultCampaignConfig, FaultPattern, FaultTarget};
 use crate::forensics::{ActivationKind, CellForensics, DataObservation, ForensicsLog};
 use crate::memory::MainMemory;
@@ -462,11 +462,13 @@ impl MemorySystem {
     /// it in the protocol's read-fill state.
     fn read_miss(&mut self, core: usize, address: u32, now: u64, outcome: Outcome) -> LoadResponse {
         let base = self.cores[core].dl1.line_base(address);
-        let (line, extra, sharers) = self.fetch_line(core, base, now, false);
+        let mut buffer = [0u32; MAX_LINE_WORDS];
+        let line = &mut buffer[..self.config.dl1.words_per_line() as usize];
+        let (extra, sharers) = self.fetch_line(core, base, now, false, line);
         let word_index = ((address & (self.config.dl1.line_bytes - 1)) >> 2) as usize;
         let value = line[word_index];
         let state = self.protocol.table().read_fill_state(sharers);
-        self.fill_dl1(core, address, &line, now, state);
+        self.fill_dl1(core, address, line, now, state);
         LoadResponse {
             value,
             dl1_hit: false,
@@ -591,13 +593,15 @@ impl MemorySystem {
     ) -> u32 {
         let base = self.cores[core].dl1.line_base(address);
         let update = self.protocol.table().uses_update_bus();
-        let (line, mut extra, sharers) = self.fetch_line(core, base, now, !update);
+        let mut buffer = [0u32; MAX_LINE_WORDS];
+        let line = &mut buffer[..self.config.dl1.words_per_line() as usize];
+        let (mut extra, sharers) = self.fetch_line(core, base, now, !update, line);
         if update {
             let state = self.protocol.table().read_fill_state(sharers);
-            self.fill_dl1(core, address, &line, now, state);
+            self.fill_dl1(core, address, line, now, state);
             extra += self.write_updating(core, address, value, byte_mask, now, sharers);
         } else {
-            self.fill_dl1(core, address, &line, now, LineState::Exclusive);
+            self.fill_dl1(core, address, line, now, LineState::Exclusive);
             let wrote = self.cores[core]
                 .dl1
                 .write_word_masked(address, value, byte_mask);
@@ -744,10 +748,10 @@ impl MemorySystem {
     fn refill_l2(&mut self, core: usize, address: u32) {
         self.cores[core].stats.memory_accesses += 1;
         let l2_base = self.l2.line_base(address);
-        let line = self
-            .memory
-            .read_line(l2_base, self.config.l2.words_per_line());
-        if let Some(victim) = self.l2.fill(l2_base, &line) {
+        let mut buffer = [0u32; MAX_LINE_WORDS];
+        let line = &mut buffer[..self.config.l2.words_per_line() as usize];
+        self.memory.read_line(l2_base, line);
+        if let Some(victim) = self.l2.fill(l2_base, line) {
             if victim.dirty {
                 self.memory.write_line(victim.base_address, &victim.words);
             }
@@ -766,27 +770,28 @@ impl MemorySystem {
         }
     }
 
-    /// Fetches a whole DL1 line for `core` from the L2 (refilling the L2
-    /// from memory if needed) after snooping the other DL1s, returning the
-    /// line data, the stall penalty and whether remote copies remain.
+    /// Fetches a whole DL1 line for `core` into `line` from the L2
+    /// (refilling the L2 from memory if needed) after snooping the other
+    /// DL1s, returning the stall penalty and whether remote copies remain.
     fn fetch_line(
         &mut self,
         core: usize,
         base: u32,
         now: u64,
         exclusive: bool,
-    ) -> (Vec<u32>, u32, bool) {
-        let words = self.config.dl1.words_per_line();
+        line: &mut [u32],
+    ) -> (u32, bool) {
         let grant = self.bus.round_trip(now);
         let wait = self.charge_bus(core, grant);
         let mut extra = 2 * self.config.bus_latency + self.config.l2_latency + wait;
 
         let (sharers, supplied) = self.snoop_remote(core, base, exclusive);
-        if let Some(line) = supplied {
+        if let Some(words) = supplied {
             // Dragon/MOESI cache-to-cache supply: the owner's copy travels
             // directly on this transaction; the L2 and memory stay stale
             // until the owner writes back.  No memory latency is paid.
-            return (line, extra, sharers);
+            line.copy_from_slice(&words);
+            return (extra, sharers);
         }
 
         if !self.l2.probe(base) {
@@ -798,24 +803,22 @@ impl MemorySystem {
             self.refill_l2(core, base);
         }
 
-        let line = self.l2.read_line_words(base, words).unwrap_or_else(|| {
+        if !self.l2.read_line_words(base, line) {
             // The DL1 line straddles an L2 line boundary only if the DL1
             // line is larger than the L2 line, which the configurations
             // forbid; fall back to per-word reads defensively.
-            (0..words)
-                .map(|i| {
-                    let word_address = base + 4 * i;
-                    match self.l2.read_word(word_address) {
-                        Some(hit) => hit.value,
-                        None => {
-                            self.cores[core].stats.memory_accesses += 1;
-                            self.memory.read_word(word_address)
-                        }
+            for (i, word) in line.iter_mut().enumerate() {
+                let word_address = base + 4 * i as u32;
+                *word = match self.l2.read_word(word_address) {
+                    Some(hit) => hit.value,
+                    None => {
+                        self.cores[core].stats.memory_accesses += 1;
+                        self.memory.read_word(word_address)
                     }
-                })
-                .collect()
-        });
-        (line, extra, sharers)
+                };
+            }
+        }
+        (extra, sharers)
     }
 
     /// Installs a fetched line in `core`'s DL1 in `state`, writing back any

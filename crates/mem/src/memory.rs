@@ -107,10 +107,12 @@ impl MainMemory {
         self.words.insert(address & !3, value);
     }
 
-    /// Reads a whole cache line of `words` 32-bit words starting at the
-    /// line-aligned `base` address.
-    pub fn read_line(&mut self, base: u32, words: u32) -> Vec<u32> {
-        (0..words).map(|i| self.read_word(base + 4 * i)).collect()
+    /// Reads a whole cache line into `line`, one 32-bit word per entry,
+    /// starting at the line-aligned `base` address.
+    pub fn read_line(&mut self, base: u32, line: &mut [u32]) {
+        for (i, word) in line.iter_mut().enumerate() {
+            *word = self.read_word(base + 4 * i as u32);
+        }
     }
 
     /// Writes a whole cache line starting at the line-aligned `base`.
@@ -184,7 +186,9 @@ mod tests {
         let mut memory = MainMemory::new(10);
         let line = vec![1, 2, 3, 4, 5, 6, 7, 8];
         memory.write_line(0x200, &line);
-        assert_eq!(memory.read_line(0x200, 8), line);
+        let mut read = [0; 8];
+        memory.read_line(0x200, &mut read);
+        assert_eq!(read[..], line[..]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::stage::Stage;
+use crate::stage::{Stage, StageLayout};
 
 /// How the DL1's error-correction check is woven into the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,6 +51,15 @@ impl EccScheme {
             &Stage::WITH_ECC_STAGE
         } else {
             &Stage::BASELINE
+        }
+    }
+
+    /// Where the stages the simulator indexes sit in [`EccScheme::stages`].
+    pub(crate) fn layout(self) -> StageLayout {
+        if self.has_ecc_stage() {
+            StageLayout::WITH_ECC_STAGE
+        } else {
+            StageLayout::BASELINE
         }
     }
 

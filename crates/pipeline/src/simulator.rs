@@ -33,7 +33,7 @@ use crate::chronogram::{Chronogram, TraceEntry};
 use crate::config::PipelineConfig;
 use crate::hazards::{decide_lookahead, LookaheadBlock, PreviousInstruction};
 use crate::scheme::EccScheme;
-use crate::stage::Stage;
+use crate::stage::{StageLayout, MAX_STAGES};
 use crate::stats::PipelineStats;
 
 /// Everything a finished run reports.
@@ -89,9 +89,10 @@ impl SimResult {
 }
 
 /// Timing footprint of the previously processed dynamic instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PrevTiming {
-    entry: Vec<u64>,
+    /// Stage entry cycles; the first `layout.n` are meaningful.
+    entry: [u64; MAX_STAGES],
     leave_last: u64,
     summary: PreviousInstruction,
 }
@@ -113,6 +114,8 @@ struct RecentProducer {
 #[derive(Debug)]
 pub struct Simulator<M: MemoryPort = MemorySystem> {
     config: PipelineConfig,
+    /// The scheme's stage count and indices, fixed for the run.
+    layout: StageLayout,
     program: Program,
     regs: RegisterFile,
     mem: M,
@@ -178,6 +181,7 @@ impl<M: MemoryPort> Simulator<M> {
         let fault_campaign = config.fault_campaign.map(FaultCampaign::new);
         let chronogram = Chronogram::new(config.trace_instructions);
         Simulator {
+            layout: config.scheme.layout(),
             program,
             regs: RegisterFile::new(),
             mem: port,
@@ -296,14 +300,15 @@ impl<M: MemoryPort> Simulator<M> {
 
     /// Processes one dynamic instruction: timing, function and statistics.
     fn step(&mut self, instruction: Instruction) {
-        let stages = self.config.scheme.stages();
-        let n = stages.len();
-        let idx_ra = stage_index(stages, Stage::RegisterAccess);
-        let idx_ex = stage_index(stages, Stage::Execute);
-        let idx_m = stage_index(stages, Stage::Memory);
+        let StageLayout {
+            n,
+            ra: idx_ra,
+            ex: idx_ex,
+            m: idx_m,
+        } = self.layout;
 
         // --- structural timing skeleton (fetch through execute) ------------
-        let mut entry = vec![0u64; n];
+        let mut entry = [0u64; MAX_STAGES];
         entry[0] = self.structural(0).max(self.redirect_cycle).max(1);
         for s in 1..=idx_ex {
             entry[s] = (entry[s - 1] + 1).max(self.structural(s));
@@ -353,7 +358,7 @@ impl<M: MemoryPort> Simulator<M> {
         // Anticipated loads consume their address register in Register Access
         // instead (eligibility already guaranteed readiness there).
         if !(lookahead && instruction.is_load()) {
-            for reg in instruction.uses() {
+            for &reg in instruction.uses().iter() {
                 memory_entry = memory_entry.max(self.reg_ready[usize::from(reg)] + 2);
             }
         }
@@ -481,7 +486,7 @@ impl<M: MemoryPort> Simulator<M> {
         // --- destination readiness (bypass network) --------------------------
         if let Some(def) = instruction.def() {
             let ready = if instruction.is_load() {
-                self.load_result_ready(&entry, idx_m, n, load_hit, lookahead)
+                self.load_result_ready(&entry, load_hit, lookahead)
             } else {
                 // ALU results (and call link values) come out of Execute.
                 entry[idx_m] - 1
@@ -546,11 +551,12 @@ impl<M: MemoryPort> Simulator<M> {
 
         // --- bookkeeping -------------------------------------------------------
         if self.config.trace_instructions > 0 && !self.chronogram.is_full() {
+            let stages = self.config.scheme.stages();
             self.chronogram.push(TraceEntry {
                 seq: self.stats.instructions,
                 index: self.pc,
                 text: instruction.to_string(),
-                stages: stages.iter().copied().zip(entry.iter().copied()).collect(),
+                stages: stages.iter().copied().zip(entry).collect(),
                 retired: leave_last,
                 lookahead,
             });
@@ -575,14 +581,8 @@ impl<M: MemoryPort> Simulator<M> {
 
     /// Cycle at whose end the loaded value becomes bypassable, per scheme
     /// (see the crate-level derivation and the paper's Figs. 2–5, 7).
-    fn load_result_ready(
-        &self,
-        entry: &[u64],
-        idx_m: usize,
-        n: usize,
-        hit: bool,
-        lookahead: bool,
-    ) -> u64 {
+    fn load_result_ready(&self, entry: &[u64; MAX_STAGES], hit: bool, lookahead: bool) -> u64 {
+        let StageLayout { n, m: idx_m, .. } = self.layout;
         let end_of_memory = entry[idx_m + 1] - 1;
         match self.config.scheme {
             EccScheme::NoEcc | EccScheme::ExtraCycle | EccScheme::SpeculateFlush { .. } => {
@@ -609,7 +609,7 @@ impl<M: MemoryPort> Simulator<M> {
         match &self.prev {
             None => 0,
             Some(prev) => {
-                if s + 1 < prev.entry.len() {
+                if s + 1 < self.layout.n {
                     prev.entry[s + 1]
                 } else {
                     prev.leave_last
@@ -689,19 +689,10 @@ fn store_word_and_mask(address: u32, width: laec_isa::MemWidth, value: u32) -> (
     }
 }
 
-fn stage_index(stages: &[Stage], stage: Stage) -> usize {
-    stages
-        .iter()
-        .position(|&s| s == stage)
-        // laec-lint: allow(panic-in-library) -- every pipeline variant's
-        // stage table contains all `Stage` variants (asserted by tier-1
-        // tests), so the lookup cannot miss.
-        .expect("stage present in every pipeline variant")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::Stage;
     use laec_isa::{AluOp, MemWidth, Operand};
 
     /// The paper's running example: a load followed by a consumer of the

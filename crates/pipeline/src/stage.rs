@@ -70,6 +70,38 @@ impl Stage {
     }
 }
 
+/// Most stages any pipeline variant has.
+pub(crate) const MAX_STAGES: usize = Stage::WITH_ECC_STAGE.len();
+
+/// Where the stages the simulator's timing rules name sit in one pipeline
+/// variant: its stage count `n` and the indices of Register Access,
+/// Execute and Memory.  Computed once per scheme, so the per-instruction
+/// step never searches the stage table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StageLayout {
+    pub(crate) n: usize,
+    pub(crate) ra: usize,
+    pub(crate) ex: usize,
+    pub(crate) m: usize,
+}
+
+impl StageLayout {
+    /// The layout of [`Stage::BASELINE`].
+    pub(crate) const BASELINE: StageLayout = StageLayout {
+        n: Stage::BASELINE.len(),
+        ra: 2,
+        ex: 3,
+        m: 4,
+    };
+
+    /// The layout of [`Stage::WITH_ECC_STAGE`]: the ECC stage follows
+    /// Memory, so only the count differs.
+    pub(crate) const WITH_ECC_STAGE: StageLayout = StageLayout {
+        n: Stage::WITH_ECC_STAGE.len(),
+        ..StageLayout::BASELINE
+    };
+}
+
 impl fmt::Display for Stage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
@@ -95,6 +127,26 @@ mod tests {
             .unwrap();
         assert_eq!(Stage::WITH_ECC_STAGE[position - 1], Stage::Memory);
         assert_eq!(Stage::WITH_ECC_STAGE[position + 1], Stage::Exception);
+    }
+
+    #[test]
+    fn layouts_match_the_stage_tables() {
+        for (layout, stages) in [
+            (StageLayout::BASELINE, &Stage::BASELINE[..]),
+            (StageLayout::WITH_ECC_STAGE, &Stage::WITH_ECC_STAGE[..]),
+        ] {
+            assert_eq!(layout.n, stages.len());
+            assert!(layout.n <= MAX_STAGES);
+            assert_eq!(stages[layout.ra], Stage::RegisterAccess);
+            assert_eq!(stages[layout.ex], Stage::Execute);
+            assert_eq!(stages[layout.m], Stage::Memory);
+        }
+        for scheme in crate::EccScheme::figure8_set()
+            .into_iter()
+            .chain([crate::EccScheme::SpeculateFlush { flush_penalty: 3 }])
+        {
+            assert_eq!(scheme.layout().n, scheme.stages().len(), "{scheme}");
+        }
     }
 
     #[test]
