@@ -121,7 +121,8 @@ campaign FLAGS:
                       Fault-axis seeds; one faulty run per seed per cell
                       (default: none, fault-free grid only)
     --fault-interval <N>
-                      Mean cycles between injected upsets (default 5000)
+                      Committed instructions between injected upsets
+                      (default 5000)
     --fault-target <T>
                       Which DL1 array the strikes hit: data (default,
                       ECC-protected), state (MESI state bits) or tag
@@ -183,7 +184,8 @@ campaign FLAGS:
                       implies --forensics)
 
 faults FLAGS:
-    --interval <N>    Mean cycles between injected upsets (default 40)
+    --interval <N>    Committed instructions between injected upsets
+                      (default 40)
     --pattern <P>     Strike shape: single (default), mbu2, mbu4
                       (adjacent-bit multi-bit-upset clusters)
 

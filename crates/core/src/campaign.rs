@@ -20,6 +20,17 @@
 //! therefore serializes to the same JSON — the integration tests assert
 //! exactly that.
 //!
+//! # Group jobs
+//!
+//! A worker job is one (workload, scheme, platform) group: its fault-free
+//! cell and one faulty cell per fault seed.  A faulty cell's campaign
+//! first injects at its `fault_interval`-th committed instruction, so the
+//! fork point is `fault_interval − 1` committed instructions (the whole run
+//! when the interval is 0 or the run is shorter).  A uniprocessor group
+//! simulates that prefix once, snapshots it, finishes the fault-free cell,
+//! and runs each fault seed from a copy of the snapshot with its campaign
+//! armed mid-countdown.  SMP cells run once per cell.
+//!
 //! This module holds the grid *description* ([`CampaignSpec`]) and the grid
 //! executor shared by the full-simulation and forced-SMP modes.  Campaigns
 //! run through the unified, serializable API in [`crate::spec`]
@@ -223,7 +234,8 @@ pub struct CampaignSpec {
     /// The fault axis: one extra (faulty) run per seed per cell, in addition
     /// to the always-present fault-free run.  Empty means fault-free only.
     pub fault_seeds: Vec<u64>,
-    /// Mean cycles between injected single-bit upsets on faulty runs.
+    /// Faulty runs inject one single-bit upset at exactly every
+    /// `fault_interval`-th committed instruction (`0`: never).
     pub fault_interval: u64,
     /// Which DL1 array faulty runs strike: the ECC-protected data array
     /// (default) or the unprotected coherence metadata (state bits or
@@ -575,7 +587,9 @@ impl CellRunner {
 }
 
 /// Expands `spec` into its job grid and executes it on `threads` workers
-/// (`0` = [`default_threads`]), each cell on `runner`'s simulator.
+/// (`0` = [`default_threads`]), each cell on `runner`'s simulator, one
+/// group per worker job (see [`run_group`]).  Cells come out in grid
+/// order, with one progress event each.
 ///
 /// With `forensics`, uniprocessor cells also trace per-fault lifecycles:
 /// the second element holds one [`CellForensics`] per grid cell, in the
@@ -600,66 +614,144 @@ pub(crate) fn execute_grid(
         threads
     };
 
-    // Deterministic grid order: workload-major, then platform, scheme, fault.
-    let mut jobs = Vec::new();
+    // Deterministic grid order: workload-major, then platform, scheme, fault;
+    // a group's cells are contiguous, fault-free first.
+    let mut groups = Vec::new();
     for workload in 0..workloads.len() {
         for platform in 0..spec.platforms.len() {
             for scheme in 0..spec.schemes.len() {
-                jobs.push(Job {
+                groups.push(Job {
                     workload,
                     scheme,
                     platform,
                     fault: None,
                 });
-                for fault in 0..spec.fault_seeds.len() {
-                    jobs.push(Job {
-                        workload,
-                        scheme,
-                        platform,
-                        fault: Some(fault),
-                    });
-                }
             }
         }
     }
+    let cells_per_group = 1 + spec.fault_seeds.len();
 
     let engine = runner.engine();
+    let total = (groups.len() * cells_per_group) as u64;
     obs.emit(&ProgressEvent::CampaignStart {
         engine,
-        jobs: jobs.len() as u64,
+        jobs: total,
     });
-    let total = jobs.len() as u64;
-    let results = run_pool(jobs.len(), threads, |index| {
-        let job = jobs[index];
-        let phase = if job.fault.is_some() {
-            Phase::Inject
-        } else {
-            Phase::FullSim
-        };
-        let (cell, cell_forensics) = {
-            let _span = obs.span(phase);
-            run_job(spec, &workloads, job, runner, forensics)
-        };
-        let tallies = forensics.then(|| cell_forensics.outcome_tallies());
-        obs.emit(&ProgressEvent::Cell {
-            index: index as u64,
-            total,
-            workload: &cell.workload,
-            scheme: &cell.scheme,
-            platform: &cell.platform,
-            fault_seed: cell.fault_seed,
-            cycles: cell.cycles,
-            phase: phase.label(),
-            outcomes: tallies.as_ref().map(|t| &t[..]),
-        });
-        (cell, cell_forensics)
+    let results = run_pool(groups.len(), threads, |group| {
+        let mut cells = Vec::with_capacity(cells_per_group);
+        run_group(
+            spec,
+            &workloads,
+            groups[group],
+            runner,
+            forensics,
+            obs,
+            |job, (cell, cell_forensics)| {
+                let tallies = forensics.then(|| cell_forensics.outcome_tallies());
+                let offset = job.fault.map_or(0, |fault| fault + 1);
+                obs.emit(&ProgressEvent::Cell {
+                    index: (group * cells_per_group + offset) as u64,
+                    total,
+                    workload: &cell.workload,
+                    scheme: &cell.scheme,
+                    platform: &cell.platform,
+                    fault_seed: cell.fault_seed,
+                    cycles: cell.cycles,
+                    phase: cell_phase(job).label(),
+                    outcomes: tallies.as_ref().map(|t| &t[..]),
+                });
+                cells.push((cell, cell_forensics));
+            },
+        );
+        cells
     });
     obs.emit(&ProgressEvent::CampaignEnd {
         engine,
         executed: total,
     });
-    let (cells, forensics): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    let (cells, forensics): (Vec<_>, Vec<_>) = results.into_iter().flatten().unzip();
     (assemble_report(spec, &workloads, cells), forensics)
+}
+
+/// The span phase a cell's simulation is timed under.
+fn cell_phase(job: Job) -> Phase {
+    if job.fault.is_some() {
+        Phase::Inject
+    } else {
+        Phase::FullSim
+    }
+}
+
+/// Runs one (workload, scheme, platform) group — `group` is its fault-free
+/// job — handing each finished cell to `done` in grid order: the
+/// fault-free cell, then one faulty cell per fault seed.  Uniprocessor
+/// faulty cells fork from the fault-free prefix (see the module's "Group
+/// jobs"); the last seed takes the snapshot itself.
+fn run_group(
+    spec: &CampaignSpec,
+    workloads: &[Workload],
+    group: Job,
+    runner: CellRunner,
+    forensics: bool,
+    obs: &Obs,
+    mut done: impl FnMut(Job, (CampaignCell, CellForensics)),
+) {
+    let faulty_jobs = (0..spec.fault_seeds.len()).map(|fault| Job {
+        fault: Some(fault),
+        ..group
+    });
+    if runner == CellRunner::Smp || spec.platforms[group.platform].cores() > 1 {
+        for job in std::iter::once(group).chain(faulty_jobs) {
+            let cell = {
+                let _span = obs.span(cell_phase(job));
+                run_job(spec, workloads, job, runner, forensics)
+            };
+            done(job, cell);
+        }
+        return;
+    }
+
+    let workload = &workloads[group.workload];
+    let (mut snapshot, fault_free) = {
+        let _span = obs.span(Phase::FullSim);
+        let mut simulator = Simulator::new(workload.program.clone(), job_config(spec, group));
+        if forensics {
+            simulator.enable_forensics();
+        }
+        let mut snapshot = None;
+        if !spec.fault_seeds.is_empty() {
+            // Interval 0 never injects: the whole run is shared.
+            simulator.run_to(spec.fault_interval.checked_sub(1).unwrap_or(u64::MAX));
+            snapshot = simulator.try_clone();
+        }
+        let result = simulator.execute();
+        (snapshot, finish_cell(spec, workloads, group, result))
+    };
+    done(group, fault_free);
+
+    let last = spec.fault_seeds.len().saturating_sub(1);
+    for job in faulty_jobs {
+        let cell = {
+            let _span = obs.span(Phase::Inject);
+            let fork = if job.fault == Some(last) {
+                snapshot.take()
+            } else {
+                snapshot.as_ref().and_then(Simulator::try_clone)
+            };
+            let armed = fork.and_then(|mut simulator| {
+                let campaign = job_config(spec, job).fault_campaign?;
+                simulator.arm_fault_campaign(campaign).then_some(simulator)
+            });
+            match armed {
+                Some(mut simulator) => finish_cell(spec, workloads, job, simulator.execute()),
+                // Not reached: an untraced simulator always clones, and the
+                // fork point precedes the first injection.  Running the cell
+                // from scratch keeps the report right regardless.
+                None => run_job(spec, workloads, job, runner, forensics),
+            }
+        };
+        done(job, cell);
+    }
 }
 
 /// Executes `count` jobs on a scoped worker pool (one shared cursor, one
@@ -794,8 +886,7 @@ pub(crate) fn run_job(
     let workload = &workloads[job.workload];
     let platform = spec.platforms[job.platform];
     let config = job_config(spec, job);
-    let fault_seed = job.fault.map(|index| spec.fault_seeds[index]);
-    let mut result = if runner == CellRunner::Smp || platform.cores() > 1 {
+    let result = if runner == CellRunner::Smp || platform.cores() > 1 {
         crate::smp_campaign::run_observed_core(workload, config, platform.cores(), spec.protocol)
     } else {
         let mut simulator = Simulator::new(workload.program.clone(), config);
@@ -804,12 +895,22 @@ pub(crate) fn run_job(
         }
         simulator.execute()
     };
+    finish_cell(spec, workloads, job, result)
+}
+
+/// Packages a finished simulation as `job`'s grid cell and forensics.
+fn finish_cell(
+    spec: &CampaignSpec,
+    workloads: &[Workload],
+    job: Job,
+    mut result: laec_pipeline::SimResult,
+) -> (CampaignCell, CellForensics) {
     let cell_forensics = result.forensics.take().unwrap_or_default();
     let cell = cell_from_result(
-        workload,
+        &workloads[job.workload],
         spec.schemes[job.scheme],
-        platform,
-        fault_seed,
+        spec.platforms[job.platform],
+        job.fault.map(|index| spec.fault_seeds[index]),
         &result,
     );
     (cell, cell_forensics)
@@ -1081,6 +1182,61 @@ mod tests {
             false,
         )
         .0
+    }
+
+    /// The group jobs' forked faulty cells are byte-for-byte the cells and
+    /// forensics of running every cell from scratch with `run_job`, on
+    /// uniprocessor and SMP platforms, at any thread count.
+    #[test]
+    fn group_jobs_match_per_cell_runs() {
+        let mut spec = CampaignSpec::smoke();
+        spec.platforms = vec![
+            PlatformVariant::WriteBack,
+            PlatformVariant::WriteThrough,
+            PlatformVariant::smp(2),
+        ];
+        spec.fault_seeds = vec![1, 2, 3];
+        spec.fault_interval = 150;
+        let workloads = spec.materialize_workloads();
+        let mut per_cell = Vec::new();
+        for workload in 0..workloads.len() {
+            for platform in 0..spec.platforms.len() {
+                for scheme in 0..spec.schemes.len() {
+                    for fault in std::iter::once(None).chain((0..3).map(Some)) {
+                        let job = Job {
+                            workload,
+                            scheme,
+                            platform,
+                            fault,
+                        };
+                        per_cell.push(run_job(
+                            &spec,
+                            &workloads,
+                            job,
+                            CellRunner::ByPlatform,
+                            true,
+                        ));
+                    }
+                }
+            }
+        }
+        let (cells, forensics): (Vec<_>, Vec<_>) = per_cell.into_iter().unzip();
+        assert!(
+            forensics.iter().any(|f| !f.is_empty()),
+            "the grid injects faults"
+        );
+        let expected = assemble_report(&spec, &workloads, cells).to_json();
+        for threads in [1, 4] {
+            let (report, grid_forensics) = execute_grid(
+                &spec,
+                threads,
+                &Obs::disabled(),
+                CellRunner::ByPlatform,
+                true,
+            );
+            assert_eq!(report.to_json(), expected, "{threads} threads");
+            assert_eq!(grid_forensics, forensics, "{threads} threads");
+        }
     }
 
     #[test]

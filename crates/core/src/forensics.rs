@@ -94,7 +94,7 @@ pub struct ForensicsReport {
     pub fault_target: String,
     /// The campaign's coherence protocol label.
     pub protocol: String,
-    /// Mean cycles between injected upsets.
+    /// Committed instructions between injected upsets (`0`: none).
     pub fault_interval: u64,
     /// The campaign's master seed.
     pub seed: u64,

@@ -8,78 +8,81 @@
 //! extra stage, or LAEC's anticipated check) is the pipeline's business; the
 //! cache only answers hit/miss and value/outcome questions.
 
+use std::sync::Arc;
+
 use laec_ecc::{Codeword, Decoded, EccCode, ErrorInjector, FlipPlan, Outcome};
 
 use crate::coherence::{LineState, ProtocolKind, SnoopResult};
-use crate::config::{CacheConfig, WritePolicy};
+use crate::config::{CacheConfig, WritePolicy, MAX_LINE_WORDS};
 use crate::fault::FaultTarget;
 use crate::forensics::{ActivationKind, CacheEvent, FaultOutcome};
 use crate::stats::CacheStats;
 
-/// One cache line: tag, coherence state and the protected words.
-#[derive(Debug, Clone)]
+/// One cache line's metadata: a `Copy` record of 24 bytes.  The line's
+/// protected words and their pristine mask live in the owning cache's
+/// arena at `slot`, so a cache clones in a few memcpys and a first fill
+/// makes no per-line allocation.
+#[derive(Debug, Clone, Copy)]
 struct Line {
     /// Coherence state; `Invalid` ⇔ the old "not valid", `Modified` ⇔ the
     /// old "valid + dirty".  Uniprocessor fills produce `Exclusive`.
     state: LineState,
     tag: u32,
-    words: Vec<Codeword>,
-    /// Bit *i* set ⇔ `words[i]` was produced by `Codeword::encode` and has
-    /// not been fault-flipped since.  A pristine codeword provably decodes
-    /// to `(data, Clean)` for any valid code, so reads, evictions and
-    /// flushes can skip the syndrome computation — the dominant cost of the
-    /// simulated hierarchy.  Fault injection clears the bit; scrubs and
-    /// writes (which re-encode) set it again.
-    pristine: u64,
+    /// The line's words are `arena[slot * words_per_line..][..words_per_line]`
+    /// and its pristine mask is `pristine[slot]`; [`NO_SLOT`] until the
+    /// line's first fill, which appends the slot.
+    slot: u32,
     last_used: u64,
 }
 
+/// The slot of a line that has never been filled.
+const NO_SLOT: u32 = u32::MAX;
+
 impl Line {
-    /// An invalid line.  The word storage stays unallocated until the first
-    /// fill: a campaign constructs a fresh `MemorySystem` per grid cell, and
-    /// most L2 lines of most cells are never touched, so eager allocation
-    /// (~8k vectors per hierarchy) would dominate short runs.
-    fn empty() -> Self {
-        Line {
-            state: LineState::Invalid,
-            tag: 0,
-            words: Vec::new(),
-            pristine: 0,
-            last_used: 0,
-        }
-    }
+    /// An invalid, never-filled line.  Its words take no arena space until
+    /// the first fill: most L2 lines of a short run are never touched.
+    const EMPTY: Line = Line {
+        state: LineState::Invalid,
+        tag: 0,
+        slot: NO_SLOT,
+        last_used: 0,
+    };
+}
 
-    /// Decodes word `word`, taking the pristine fast path when possible.
-    fn decode_word(&self, word: usize, code: &(dyn EccCode + Send + Sync)) -> Decoded {
-        if self.pristine & (1u64 << word) != 0 {
-            let decoded = Decoded {
-                data: self.words[word].data() & code.data_mask(),
-                outcome: Outcome::Clean,
-            };
-            debug_assert_eq!(decoded, self.words[word].decode(code));
-            decoded
-        } else {
-            self.words[word].decode(code)
-        }
+/// Decodes word `word` of a line whose pristine mask is `pristine`, taking
+/// the fast path when the word is pristine.
+fn decode_stored(
+    stored: Codeword,
+    pristine: u64,
+    word: usize,
+    code: &(dyn EccCode + Send + Sync),
+) -> Decoded {
+    if pristine & (1u64 << word) != 0 {
+        let decoded = Decoded {
+            data: stored.data() & code.data_mask(),
+            outcome: Outcome::Clean,
+        };
+        debug_assert_eq!(decoded, stored.decode(code));
+        decoded
+    } else {
+        stored.decode(code)
     }
+}
 
-    /// `true` if any word holds an error the code cannot correct.
-    fn has_uncorrectable(&self, code: &(dyn EccCode + Send + Sync)) -> bool {
-        (0..self.words.len()).any(|word| !self.decode_word(word, code).outcome.is_usable())
-    }
+/// A line's decoded words, held inline: dirty victims and snoop supplies
+/// move between levels without touching the heap.  Dereferences to the
+/// line's words.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LineWords {
+    words: [u32; MAX_LINE_WORDS],
+    len: usize,
+}
 
-    /// The line's words after correction where possible, and whether any
-    /// word held an uncorrectable error.
-    fn decoded_words(&self, code: &(dyn EccCode + Send + Sync)) -> (Vec<u32>, bool) {
-        let mut uncorrectable = false;
-        let words = (0..self.words.len())
-            .map(|word| {
-                let decoded = self.decode_word(word, code);
-                uncorrectable |= !decoded.outcome.is_usable();
-                decoded.data as u32
-            })
-            .collect();
-        (words, uncorrectable)
+impl std::ops::Deref for LineWords {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.words[..self.len]
     }
 }
 
@@ -100,7 +103,7 @@ pub struct EvictedLine {
     /// Line-aligned base address of the evicted line.
     pub base_address: u32,
     /// The line's words (after ECC correction where possible).
-    pub words: Vec<u32>,
+    pub words: LineWords,
     /// `true` if the line was dirty and must be written back.
     pub dirty: bool,
     /// `true` if any word of the line held an uncorrectable error (the
@@ -124,6 +127,9 @@ struct MetaCorruption {
 
 /// A set-associative, LRU-replacement cache with ECC-protected words.
 ///
+/// `Clone` is an exact, independent deep copy (the code tables are shared
+/// read-only): a campaign forks faulty runs from a fault-free snapshot.
+///
 /// ```
 /// use laec_mem::{Cache, CacheConfig};
 ///
@@ -133,13 +139,24 @@ struct MetaCorruption {
 /// let hit = cache.read_word(0x1004).expect("now resident");
 /// assert_eq!(hit.value, 2);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     /// All lines, flattened set-major (`lines[set * ways + way]`): one
-    /// allocation per cache instead of one per set, which matters because
-    /// campaigns construct a fresh hierarchy per grid cell.
+    /// allocation per cache instead of one per set, so building or cloning
+    /// a hierarchy costs one allocation per level.
     lines: Vec<Line>,
+    /// Every filled line's words, `words_per_line` per slot, in first-fill
+    /// order (see [`Line::slot`]).
+    arena: Vec<Codeword>,
+    /// One mask per slot: bit *i* set ⇔ word *i* was produced by
+    /// `Codeword::encode` and has not been fault-flipped since.  A pristine
+    /// codeword provably decodes to `(data, Clean)` for any valid code, so
+    /// reads, evictions and flushes can skip the syndrome computation — the
+    /// dominant cost of the simulated hierarchy.  Fault injection clears
+    /// the bit; scrubs and writes (which re-encode) set it again.
+    pristine: Vec<u64>,
+    words_per_line: usize,
     /// Precomputed address-decomposition geometry.  `CacheConfig::sets()`
     /// re-validates the whole configuration on every call, which is far too
     /// expensive for the per-access hot path.
@@ -147,7 +164,7 @@ pub struct Cache {
     index_bits: u32,
     set_mask: u32,
     way_count: usize,
-    code: Box<dyn EccCode + Send + Sync>,
+    code: Arc<dyn EccCode + Send + Sync>,
     /// Which coherence decision table governs this cache's snoop responses
     /// and the width of its state metadata.  Defaults to MESI; a
     /// uniprocessor never takes a protocol-dependent transition, so the
@@ -189,15 +206,17 @@ impl Cache {
         // any simulation state exists.
         config.validate().expect("invalid cache geometry");
         let sets = config.sets();
-        let lines = (0..sets * config.ways).map(|_| Line::empty()).collect();
         Cache {
             config,
-            lines,
+            lines: vec![Line::EMPTY; (sets * config.ways) as usize],
+            arena: Vec::new(),
+            pristine: Vec::new(),
+            words_per_line: config.words_per_line() as usize,
             offset_bits: config.line_bytes.trailing_zeros(),
             index_bits: sets.trailing_zeros(),
             set_mask: sets - 1,
             way_count: config.ways as usize,
-            code: config.protection.instantiate(),
+            code: Arc::from(config.protection.instantiate()),
             protocol: ProtocolKind::Mesi,
             stats: CacheStats::new(),
             access_counter: 0,
@@ -211,7 +230,7 @@ impl Cache {
     }
 
     /// Turns on the forensics event journal (irreversible for the cache's
-    /// lifetime; campaigns construct a fresh hierarchy per cell).
+    /// lifetime, and inherited by its clones).
     pub(crate) fn enable_journal(&mut self) {
         self.journal_enabled = true;
     }
@@ -285,6 +304,45 @@ impl Cache {
         set * self.ways()..(set + 1) * self.ways()
     }
 
+    /// The arena slot of the filled line `index`.
+    fn slot(&self, index: usize) -> usize {
+        debug_assert_ne!(self.lines[index].slot, NO_SLOT, "line was filled");
+        self.lines[index].slot as usize
+    }
+
+    /// Decodes word `word` of line `index`.
+    fn decode_word(&self, index: usize, word: usize) -> Decoded {
+        let slot = self.slot(index);
+        decode_stored(
+            self.arena[slot * self.words_per_line + word],
+            self.pristine[slot],
+            word,
+            self.code.as_ref(),
+        )
+    }
+
+    /// `true` if any word of line `index` holds an error the code cannot
+    /// correct.
+    fn has_uncorrectable(&self, index: usize) -> bool {
+        (0..self.words_per_line).any(|word| !self.decode_word(index, word).outcome.is_usable())
+    }
+
+    /// Line `index`'s words after correction where possible, and whether
+    /// any word held an uncorrectable error.
+    fn decoded_words(&self, index: usize) -> (LineWords, bool) {
+        let mut words = LineWords {
+            words: [0; MAX_LINE_WORDS],
+            len: self.words_per_line,
+        };
+        let mut uncorrectable = false;
+        for (word, value) in words.words[..self.words_per_line].iter_mut().enumerate() {
+            let decoded = self.decode_word(index, word);
+            uncorrectable |= !decoded.outcome.is_usable();
+            *value = decoded.data as u32;
+        }
+        (words, uncorrectable)
+    }
+
     fn find_way(&self, address: u32) -> Option<usize> {
         let set = self.set_index(address);
         let tag = self.tag(address);
@@ -316,7 +374,7 @@ impl Cache {
         let way = self.find_way(address)?;
         let set = self.set_index(address);
         let word = self.word_index(address);
-        let decoded = self.lines[set * self.ways() + way].decode_word(word, self.code.as_ref());
+        let decoded = self.decode_word(set * self.ways() + way, word);
         Some((decoded.data as u32, decoded.outcome))
     }
 
@@ -376,14 +434,17 @@ impl Cache {
         let word = self.word_index(address);
         let counter = self.access_counter;
         let index = set * self.ways() + way;
+        let slot = self.slot(index);
+        let at = slot * self.words_per_line + word;
         let line = &mut self.lines[index];
         line.last_used = counter;
-        let decoded = line.decode_word(word, self.code.as_ref());
+        let pristine = &mut self.pristine[slot];
+        let decoded = decode_stored(self.arena[at], *pristine, word, self.code.as_ref());
         self.stats.ecc.record(decoded.outcome);
         if decoded.outcome.is_corrected() {
             // Scrub: rewrite the corrected word so the error does not linger.
-            line.words[word] = Codeword::encode(self.code.as_ref(), decoded.data);
-            line.pristine |= 1u64 << word;
+            self.arena[at] = Codeword::encode(self.code.as_ref(), decoded.data);
+            *pristine |= 1u64 << word;
         }
         Some(ReadHit {
             value: decoded.data as u32,
@@ -441,14 +502,17 @@ impl Cache {
         let dirty_on_write = self.config.write_policy == WritePolicy::WriteBack;
         let mask = expand_byte_mask(byte_mask);
         let index = set * self.ways() + way;
+        let slot = self.slot(index);
+        let at = slot * self.words_per_line + word;
         let line = &mut self.lines[index];
         line.last_used = counter;
-        let decoded = line.decode_word(word, self.code.as_ref());
+        let pristine = &mut self.pristine[slot];
+        let decoded = decode_stored(self.arena[at], *pristine, word, self.code.as_ref());
         self.stats.ecc.record(decoded.outcome);
         let old = decoded.data as u32;
         let merged = (old & !mask) | (value & mask);
-        line.words[word] = Codeword::encode(self.code.as_ref(), u64::from(merged));
-        line.pristine |= 1u64 << word;
+        self.arena[at] = Codeword::encode(self.code.as_ref(), u64::from(merged));
+        *pristine |= 1u64 << word;
         if dirty_on_write {
             line.state = LineState::Modified;
             if !self.corrupted.is_empty() {
@@ -502,16 +566,69 @@ impl Cache {
         let counter = self.access_counter;
         let code = self.code.as_ref();
         let index = set * self.ways() + way;
-        let line = &mut self.lines[index];
-        line.last_used = counter;
-        for (word, value) in (first..).zip(out.iter_mut()) {
-            let decoded = line.decode_word(word, code);
+        let slot = self.slot(index);
+        let start = slot * self.words_per_line + first;
+        let stored = &mut self.arena[start..start + out.len()];
+        let pristine = &mut self.pristine[slot];
+        self.lines[index].last_used = counter;
+        for ((word, value), stored) in (first..).zip(out.iter_mut()).zip(stored) {
+            let decoded = decode_stored(*stored, *pristine, word, code);
             self.stats.ecc.record(decoded.outcome);
             if decoded.outcome.is_corrected() {
-                line.words[word] = Codeword::encode(code, decoded.data);
-                line.pristine |= 1u64 << word;
+                *stored = Codeword::encode(code, decoded.data);
+                *pristine |= 1u64 << word;
             }
             *value = decoded.data as u32;
+        }
+        true
+    }
+
+    /// Writes `words` as consecutive full words starting at the
+    /// line-aligned `base`, all within one line — the writeback fast path.
+    /// Statistics, LRU state, dirtiness and the stored codewords end up
+    /// exactly as that many calls to [`Cache::write_word`] would leave
+    /// them, but the tag is matched once and each word is encoded once.  An
+    /// overwritten word is decoded only to record its outcome, and not at
+    /// all when its pristine bit proves that outcome `Clean`.  Returns
+    /// `false` (nothing recorded) when the line is not resident, the
+    /// request extends past it, or metadata-corruption records are live;
+    /// the caller then falls back to per-word writes.
+    pub fn write_line(&mut self, base: u32, words: &[u32]) -> bool {
+        if words.is_empty() {
+            return true;
+        }
+        let Some(way) = self.find_way(base) else {
+            return false;
+        };
+        let first = self.word_index(base);
+        if first + words.len() > self.words_per_line || !self.corrupted.is_empty() {
+            return false;
+        }
+        let count = words.len() as u64;
+        self.access_counter += count;
+        self.stats.write_hits += count;
+        let counter = self.access_counter;
+        let dirty_on_write = self.config.write_policy == WritePolicy::WriteBack;
+        let code = self.code.as_ref();
+        let index = self.set_index(base) * self.ways() + way;
+        let slot = self.slot(index);
+        let start = slot * self.words_per_line + first;
+        let stored = &mut self.arena[start..start + words.len()];
+        let pristine = &mut self.pristine[slot];
+        let line = &mut self.lines[index];
+        line.last_used = counter;
+        for ((word, &value), stored) in (first..).zip(words).zip(stored) {
+            let outcome = if *pristine & (1u64 << word) != 0 {
+                Outcome::Clean
+            } else {
+                stored.decode(code).outcome
+            };
+            self.stats.ecc.record(outcome);
+            *stored = Codeword::encode(code, u64::from(value));
+            *pristine |= 1u64 << word;
+        }
+        if dirty_on_write {
+            line.state = LineState::Modified;
         }
         true
     }
@@ -558,7 +675,7 @@ impl Cache {
         };
 
         let index = set * self.ways() + way;
-        let victim = &self.lines[index];
+        let victim = self.lines[index];
         let mut evicted = None;
         if victim.state.is_valid() {
             self.stats.evictions += 1;
@@ -568,8 +685,8 @@ impl Cache {
             }
             // Only a victim the caller must act on is decoded into an
             // `EvictedLine`: a clean, correctable one is simply dropped.
-            if dirty || victim.has_uncorrectable(self.code.as_ref()) {
-                let (words, uncorrectable) = victim.decoded_words(self.code.as_ref());
+            if dirty || self.has_uncorrectable(index) {
+                let (words, uncorrectable) = self.decoded_words(index);
                 evicted = Some(EvictedLine {
                     base_address: self.reconstruct_base(set, victim.tag),
                     words,
@@ -583,19 +700,28 @@ impl Cache {
         }
 
         let code = self.code.as_ref();
+        let encoded = line_words
+            .iter()
+            .map(|&value| Codeword::encode(code, u64::from(value)));
         let line = &mut self.lines[index];
+        if line.slot == NO_SLOT {
+            // First fill of this line: append its slot to the arena.
+            line.slot = self.pristine.len() as u32;
+            self.pristine.push(0);
+            self.arena.extend(encoded);
+        } else {
+            let start = line.slot as usize * self.words_per_line;
+            for (stored, codeword) in self.arena[start..start + line_words.len()]
+                .iter_mut()
+                .zip(encoded)
+            {
+                *stored = codeword;
+            }
+        }
         line.state = LineState::Exclusive;
         line.tag = tag;
         line.last_used = counter;
-        // `clear` + `extend` keeps the allocation across refills (and makes
-        // the first fill the line's only allocation).
-        line.words.clear();
-        line.words.extend(
-            line_words
-                .iter()
-                .map(|&value| Codeword::encode(code, u64::from(value))),
-        );
-        line.pristine = pristine_mask(line.words.len());
+        self.pristine[line.slot as usize] = pristine_mask(line_words.len());
         evicted
     }
 
@@ -711,7 +837,7 @@ impl Cache {
         let mut supplied = None;
         let mut uncorrectable = false;
         if was_modified {
-            let (words, any_uncorrectable) = self.lines[index].decoded_words(self.code.as_ref());
+            let (words, any_uncorrectable) = self.decoded_words(index);
             supplied = Some(words);
             uncorrectable = any_uncorrectable;
         }
@@ -759,12 +885,13 @@ impl Cache {
         let word = self.word_index(address);
         let mask = expand_byte_mask(byte_mask);
         let index = set * self.ways() + way;
-        let line = &mut self.lines[index];
-        let old = line.decode_word(word, self.code.as_ref()).data as u32;
+        let old = self.decode_word(index, word).data as u32;
         let merged = (old & !mask) | (value & mask);
-        line.words[word] = Codeword::encode(self.code.as_ref(), u64::from(merged));
-        line.pristine |= 1u64 << word;
-        line.state = next;
+        let slot = self.slot(index);
+        self.arena[slot * self.words_per_line + word] =
+            Codeword::encode(self.code.as_ref(), u64::from(merged));
+        self.pristine[slot] |= 1u64 << word;
+        self.lines[index].state = next;
         if !self.corrupted.is_empty() {
             // A state-only corruption is settled by the update: the
             // broadcaster owns the writeback obligation from here on, so
@@ -910,7 +1037,7 @@ impl Cache {
             // Ground truth for SDC classification: the decoded value before
             // the strike (unknowable only when the word was already
             // undecodable from an earlier unresolved strike).
-            let decoded = self.lines[index].decode_word(word, self.code.as_ref());
+            let decoded = self.decode_word(index, word);
             let true_value = if decoded.outcome.is_usable() {
                 Some(decoded.data as u32)
             } else {
@@ -921,8 +1048,9 @@ impl Cache {
                 true_value,
             });
         }
-        plan.apply(&mut self.lines[index].words[word]);
-        self.lines[index].pristine &= !(1u64 << word);
+        let slot = self.slot(index);
+        plan.apply(&mut self.arena[slot * self.words_per_line + word]);
+        self.pristine[slot] &= !(1u64 << word);
         true
     }
 
@@ -976,8 +1104,7 @@ impl Cache {
                 };
                 if dirty {
                     let base = self.reconstruct_base(set_index, tag);
-                    let (words, uncorrectable) =
-                        self.lines[index].decoded_words(self.code.as_ref());
+                    let (words, uncorrectable) = self.decoded_words(index);
                     self.lines[index].state = LineState::Exclusive;
                     self.stats.writebacks += 1;
                     out.push(EvictedLine {
@@ -1262,6 +1389,85 @@ mod tests {
         assert!(!batched.read_line_words(0x108, &mut words), "past the end");
         assert_eq!(*batched.stats(), stats_before, "nothing recorded");
         assert!(!batched.read_line_words(0x400, &mut words), "not resident");
+    }
+
+    #[test]
+    fn a_line_is_a_24_byte_copy_record() {
+        assert_eq!(std::mem::size_of::<Line>(), 24);
+    }
+
+    #[test]
+    fn write_line_matches_per_word_writes() {
+        let write_through = CacheConfig {
+            write_policy: WritePolicy::WriteThrough,
+            ..small_config()
+        };
+        for config in [small_config(), write_through] {
+            let mut batched = Cache::new(config);
+            let mut serial = Cache::new(config);
+            for cache in [&mut batched, &mut serial] {
+                cache.fill(0x100, &line(7));
+                cache.fill(0x120, &line(9));
+                // A non-pristine word of each correctable and
+                // uncorrectable kind: their outcomes are still recorded.
+                assert!(cache.inject_fault(0x104, &FlipPlan::double_data(0, 1)));
+                assert!(cache.inject_fault(0x108, &FlipPlan::single_data(4)));
+            }
+            assert!(batched.write_line(0x100, &[10, 11, 12, 13]));
+            for i in 0..4 {
+                assert!(serial.write_word(0x100 + 4 * i, 10 + i));
+            }
+            assert_eq!(batched.stats(), serial.stats(), "{config:?}");
+            assert_eq!(batched.stats().ecc.uncorrectable(), 1);
+            assert_eq!(batched.dirty_lines(), serial.dirty_lines());
+            for i in 0..4 {
+                let address = 0x100 + 4 * i;
+                assert_eq!(
+                    batched.probe_decoded(address),
+                    Some((10 + i, Outcome::Clean))
+                );
+            }
+            // Same LRU order: the next conflicting fill displaces the same
+            // line in both.
+            assert_eq!(batched.victim_probe(0x140), serial.victim_probe(0x140));
+            assert_eq!(batched.victim_probe(0x140), Some(0x120));
+        }
+        let mut cache = Cache::new(small_config());
+        cache.fill(0x100, &line(7));
+        let before = *cache.stats();
+        assert!(!cache.write_line(0x200, &[1; 4]), "not resident");
+        assert!(!cache.write_line(0x108, &[1; 4]), "past the end");
+        assert_eq!(*cache.stats(), before, "nothing recorded");
+    }
+
+    #[test]
+    fn a_cloned_cache_diverges_independently() {
+        let mut original = Cache::new(small_config());
+        original.fill(0x100, &line(1));
+        original.write_word(0x104, 50);
+        let mut clone = original.clone();
+        let original_stats = *original.stats();
+        // A write, a fill and an injection into the clone…
+        clone.write_word(0x100, 99);
+        assert_eq!(clone.fill(0x120, &line(7)), None);
+        assert!(clone.inject_fault(0x108, &FlipPlan::double_data(0, 1)));
+        // …leave the original untouched,
+        assert_eq!(original.peek_word(0x100), Some(1));
+        assert_eq!(original.peek_word(0x104), Some(50));
+        assert_eq!(original.probe_decoded(0x108), Some((3, Outcome::Clean)));
+        assert!(!original.probe(0x120));
+        assert_eq!(*original.stats(), original_stats);
+        // and the same on the original leaves the clone untouched.
+        let clone_stats = *clone.stats();
+        original.write_word(0x10C, 77);
+        assert_eq!(original.fill(0x140, &line(3)), None);
+        assert!(original.inject_fault(0x100, &FlipPlan::single_data(2)));
+        assert_eq!(clone.peek_word(0x100), Some(99));
+        assert_eq!(clone.peek_word(0x10C), Some(4));
+        assert_eq!(clone.probe_decoded(0x100), Some((99, Outcome::Clean)));
+        assert_eq!(clone.peek_word(0x120), Some(7));
+        assert!(!clone.probe(0x140));
+        assert_eq!(*clone.stats(), clone_stats);
     }
 
     #[test]

@@ -136,7 +136,7 @@ pub struct SnoopResult {
     pub invalidated: bool,
     /// The line's decoded words, supplied only when the copy was dirty
     /// (the requester and the level below would otherwise read stale data).
-    pub supplied: Option<Vec<u32>>,
+    pub supplied: Option<crate::cache::LineWords>,
     /// `true` if any supplied word carried an uncorrectable ECC error: the
     /// intervention forwards data that cannot be trusted.
     pub uncorrectable: bool,

@@ -212,7 +212,7 @@ pub struct FaultCampaignReport {
 }
 
 /// Drives periodic fault injection into a [`MemorySystem`](crate::MemorySystem).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FaultCampaign {
     config: FaultCampaignConfig,
     injector: ErrorInjector,
@@ -235,14 +235,31 @@ impl FaultCampaign {
         }
     }
 
+    /// The campaign [`FaultCampaign::new`] would be after `opportunities`
+    /// calls to [`FaultCampaign::maybe_inject`], provided none of them
+    /// injected; `None` when one would have (the interval is non-zero and
+    /// at most `opportunities`).
+    #[must_use]
+    pub fn resumed(config: FaultCampaignConfig, opportunities: u64) -> Option<Self> {
+        let mut campaign = FaultCampaign::new(config);
+        if config.interval != 0 {
+            if opportunities >= config.interval {
+                return None;
+            }
+            campaign.until_next -= opportunities;
+        }
+        Some(campaign)
+    }
+
     /// Campaign configuration.
     #[must_use]
     pub fn config(&self) -> &FaultCampaignConfig {
         &self.config
     }
 
-    /// Called once per injection opportunity (typically once per simulated
-    /// cycle or per memory access); injects when the interval elapses.
+    /// Called once per injection opportunity — the pipeline calls it once
+    /// per committed instruction — and injects on exactly every
+    /// `interval`-th call.
     /// Returns the struck address when an injection happened.
     pub fn maybe_inject<M: MemoryPort>(&mut self, system: &mut M) -> Option<u32> {
         if self.config.interval == 0 {

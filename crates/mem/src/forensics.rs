@@ -209,7 +209,7 @@ struct PendingMeta {
 }
 
 /// The live forensics state carried by an enabled memory system.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ForensicsLog {
     /// Memory clock: the max cycle stamp seen on any load/store.  Strikes are
     /// injected between commits and carry no cycle of their own, so they are

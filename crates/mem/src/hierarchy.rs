@@ -40,7 +40,7 @@ use laec_ecc::{ErrorInjector, FlipPlan, Outcome};
 use laec_trace::{MemLevel, TraceSink};
 
 use crate::bus::{Bus, BusGrant, Interference};
-use crate::cache::{Cache, EvictedLine};
+use crate::cache::{Cache, EvictedLine, LineWords};
 use crate::coherence::{LineState, LocalWriteAction, ProtocolKind};
 use crate::config::{AllocatePolicy, HierarchyConfig, WritePolicy, MAX_LINE_WORDS};
 use crate::fault::{FaultCampaignConfig, FaultPattern, FaultTarget};
@@ -73,7 +73,7 @@ pub struct StoreResponse {
 
 /// One core's private slice of the hierarchy: its DL1 and the counters
 /// charged to its accesses.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CoreMemory {
     dl1: Cache,
     stats: MemStats,
@@ -329,6 +329,27 @@ impl MemorySystem {
                 );
             }
         }
+    }
+
+    /// An exact, independent deep copy of the hierarchy — caches, bus, main
+    /// memory, counters and the forensics log — or `None` when a trace
+    /// sink is attached: a copy never shares the sink's recording.
+    #[must_use]
+    pub fn try_clone(&self) -> Option<MemorySystem> {
+        if self.sink.is_some() {
+            return None;
+        }
+        Some(MemorySystem {
+            config: self.config,
+            protocol: self.protocol,
+            cores: self.cores.clone(),
+            l2: self.l2.clone(),
+            bus: self.bus.clone(),
+            memory: self.memory.clone(),
+            coherence: self.coherence,
+            sink: None,
+            forensics: self.forensics.clone(),
+        })
     }
 
     /// Attaches a trace sink; the hierarchy emits line-fill and writeback
@@ -660,7 +681,7 @@ impl MemorySystem {
         core: usize,
         base: u32,
         exclusive: bool,
-    ) -> (bool, Option<Vec<u32>>) {
+    ) -> (bool, Option<LineWords>) {
         let mut sharers = false;
         let mut supplied_direct = None;
         for peer in 0..self.cores.len() {
@@ -765,8 +786,12 @@ impl MemorySystem {
         if !self.l2.probe(base) {
             self.refill_l2(core, base);
         }
-        for (i, &word) in words.iter().enumerate() {
-            self.l2.write_word(base + 4 * i as u32, word);
+        if !self.l2.write_line(base, words) {
+            // A DL1 line wider than the L2 line (which the configurations
+            // forbid) or live metadata-corruption records: word by word.
+            for (i, &word) in words.iter().enumerate() {
+                self.l2.write_word(base + 4 * i as u32, word);
+            }
         }
     }
 

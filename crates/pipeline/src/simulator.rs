@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 
 use laec_isa::{semantics, Instruction, Program, Reg, RegisterFile, NUM_REGS};
-use laec_mem::{FaultCampaign, MemoryPort, MemorySystem};
+use laec_mem::{FaultCampaign, FaultCampaignConfig, MemoryPort, MemorySystem};
 use laec_trace::{StallKind, TraceSink, TraceSummary};
 
 use crate::chronogram::{Chronogram, TraceEntry};
@@ -37,7 +37,7 @@ use crate::stage::{StageLayout, MAX_STAGES};
 use crate::stats::PipelineStats;
 
 /// Everything a finished run reports.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimResult {
     /// Performance counters.
     pub stats: PipelineStats,
@@ -163,6 +163,39 @@ impl Simulator {
         self.mem.set_trace_sink(sink);
     }
 
+    /// An exact, independent deep copy of the simulator mid-run — pipeline
+    /// state, hierarchy, fault campaign and forensics log — or `None` when
+    /// a trace sink is attached to the pipeline or the hierarchy: a copy
+    /// never shares a sink.  Campaigns simulate a fault-free prefix once
+    /// and fork each faulty run from a copy of it.
+    #[must_use]
+    pub fn try_clone(&self) -> Option<Self> {
+        if self.sink.is_some() {
+            return None;
+        }
+        Some(Simulator {
+            config: self.config.clone(),
+            layout: self.layout,
+            program: self.program.clone(),
+            regs: self.regs.clone(),
+            mem: self.mem.try_clone()?,
+            stats: self.stats,
+            chronogram: self.chronogram.clone(),
+            fault_campaign: self.fault_campaign.clone(),
+            reg_ready: self.reg_ready,
+            prev: self.prev,
+            redirect_cycle: self.redirect_cycle,
+            wb_completions: self.wb_completions.clone(),
+            wb_free_at: self.wb_free_at,
+            recent: self.recent.clone(),
+            pc: self.pc,
+            halted: self.halted,
+            hit_instruction_limit: self.hit_instruction_limit,
+            last_retire: self.last_retire,
+            sink: None,
+        })
+    }
+
     /// Convenience: build, run and return the result in one call.
     #[must_use]
     pub fn run(program: Program, config: PipelineConfig) -> SimResult {
@@ -237,6 +270,35 @@ impl<M: MemoryPort> Simulator<M> {
     pub fn execute(&mut self) -> SimResult {
         while self.step_one() {}
         self.finalize()
+    }
+
+    /// Steps until `instructions` instructions have committed in total,
+    /// returning `false` if the run ended first.  [`Simulator::execute`]
+    /// then finishes the run exactly as if it had run uninterrupted.
+    pub fn run_to(&mut self, instructions: u64) -> bool {
+        while self.stats.instructions < instructions {
+            if !self.step_one() {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Arms a fault campaign on a simulator that has run without one so
+    /// far, as if `campaign` had been configured from the start: its
+    /// countdown skips the instructions already committed.  Returns `false`
+    /// and changes nothing when a campaign is already armed, or when a
+    /// fresh one would already have injected within the committed prefix.
+    pub fn arm_fault_campaign(&mut self, campaign: FaultCampaignConfig) -> bool {
+        if self.fault_campaign.is_some() {
+            return false;
+        }
+        let Some(armed) = FaultCampaign::resumed(campaign, self.stats.instructions) else {
+            return false;
+        };
+        self.config.fault_campaign = Some(campaign);
+        self.fault_campaign = Some(armed);
+        true
     }
 
     /// Executes one dynamic instruction, returning `false` once the core is

@@ -1,9 +1,11 @@
 //! The per-instruction step allocates nothing once the simulator is warm.
 //!
 //! A counting global allocator tallies the calling thread's allocations
-//! while `step_one` runs an ALU/load/store loop whose loads stream through
+//! while `step_one` runs two loops.  In the first, loads stream through
 //! twice the DL1's capacity (so they both hit and miss, and every miss
-//! evicts a clean line) while its stores keep hitting one resident line.
+//! evicts a clean line) while stores keep hitting one resident line.  In
+//! the second, stores stream through twice the write-back DL1's capacity,
+//! so every store misses and evicts a dirty line into the L2.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -75,6 +77,55 @@ fn stream_program() -> Program {
         "#,
     )
     .expect("stream program assembles")
+}
+
+/// Stores stream over 32 KB (twice the 16 KB DL1) starting at 0x10000,
+/// one store per 32 B line.  One pass is about 4.1k instructions and 1 024
+/// store misses.
+fn store_stream_program() -> Program {
+    Program::assemble(
+        r#"
+            addi r6, r0, 1
+            slli r6, r6, 16
+            addi r7, r0, 1
+            slli r7, r7, 15
+            add  r7, r6, r7
+        outer:
+            add  r1, r6, r0
+        inner:
+            st   r3, [r1 + 0]
+            addi r3, r3, 1
+            addi r1, r1, 32
+            bne  r1, r7, inner
+            jmp  outer
+        "#,
+    )
+    .expect("store stream program assembles")
+}
+
+#[test]
+fn warm_dirty_evictions_make_no_allocations() {
+    const PASS: usize = 4_100;
+    for scheme in EccScheme::figure8_set() {
+        let mut simulator =
+            Simulator::new(store_stream_program(), PipelineConfig::for_scheme(scheme));
+        for _ in 0..PASS + 100 {
+            assert!(simulator.step_one());
+        }
+        // A copy drained now counts the warm-up's writebacks plus the same
+        // final flush of a DL1 full of dirty lines as the measured run.
+        let warm = simulator.try_clone().expect("untraced").finalize();
+        let before = allocations();
+        for _ in 0..2 * PASS {
+            assert!(simulator.step_one());
+        }
+        let allocated = allocations() - before;
+        let result = simulator.finalize();
+        assert_eq!(allocated, 0, "{scheme}: warm dirty evictions allocated");
+        // The measured window really evicted dirty lines into the L2.
+        let writebacks = result.stats.mem.dl1.writebacks - warm.stats.mem.dl1.writebacks;
+        assert!(writebacks >= 2 * 1_000, "{scheme}: {writebacks} writebacks");
+    }
 }
 
 #[test]
